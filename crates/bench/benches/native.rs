@@ -8,8 +8,9 @@ use parmatch_core::{Algorithm, CoinVariant, Runner, Workspace};
 use parmatch_list::random_list;
 use std::hint::black_box;
 
-/// Fresh allocations per call vs one reused arena: the zero-allocation
-/// steady state is the delta between each `fresh`/`reused` pair.
+/// Fresh allocations per call vs one reused arena: the cost of the
+/// per-node scratch a reused workspace keeps is the delta between each
+/// `fresh`/`reused` pair.
 fn bench_workspace_reuse(c: &mut Criterion) {
     let mut g = c.benchmark_group("native_workspace");
     g.sample_size(15);
@@ -77,7 +78,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
             .num_threads(threads)
             .build()
             .unwrap();
-        g.bench_with_input(BenchmarkId::new("match4_in", threads), &list, |b, l| {
+        g.bench_with_input(BenchmarkId::new("match4_reused", threads), &list, |b, l| {
             let mut ws = Workspace::new();
             b.iter(|| {
                 pool.install(|| {

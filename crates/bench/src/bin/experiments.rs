@@ -393,7 +393,7 @@ fn e16_native_scaling() {
     }
     print_table(&["n", "threads", "algo", "median", "nodes/s"], &rows);
     println!(
-        "(workspace reused across runs — steady state allocates nothing; outputs asserted \
+        "(workspace reused across runs — steady state allocates no per-node scratch; outputs asserted \
          bit-identical across all thread counts; machine exposes {cores} hardware \
          thread(s), so wall-clock scaling tops out there regardless of pool size)"
     );

@@ -130,3 +130,47 @@ fn steps_reports_counts() {
         "{stdout}"
     );
 }
+
+#[test]
+fn match2_zero_rounds_exits_2_with_typed_error() {
+    let out = parmatch(&["match", "--algo", "match2", "--n", "100", "--rounds", "0"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("error: match2: rounds must be ≥ 1"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn match4_zero_levels_exits_2_with_typed_error() {
+    let out = parmatch(&["match", "--algo", "match4", "--n", "100", "--i", "0"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("error: match4: levels must be ≥ 1"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn serve_reports_rejected_knobs_as_typed_errors() {
+    let path = write_temp(
+        "zero-knobs.jobs",
+        "match2 --n 100 --rounds 0\nmatch4 --n 100 --i 0\nmatch4 --n 100\n",
+    );
+    let out = parmatch(&["serve", "--jobs", path.to_str().unwrap()]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.contains("match2 n=100: error: runner error: match2: rounds must be ≥ 1"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("match4 n=100: error: runner error: match4: levels must be ≥ 1"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("(0 batched, 2 failed)"), "{stdout}");
+    assert!(!stdout.contains("panicked"), "{stdout}");
+    std::fs::remove_file(&path).ok();
+}

@@ -105,7 +105,6 @@ pub fn dense_set_sizes(ps: &PointerSets) -> Vec<usize> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // pins the legacy names the Runner facade must stay bit-identical to
 mod tests {
     use super::*;
     use crate::partition::pointer_sets;
@@ -165,7 +164,9 @@ mod tests {
     #[test]
     fn matched_fraction_band() {
         let list = random_list(4000, 9);
-        let m = crate::match4(&list, 2).matching;
+        let m = crate::Runner::new(crate::Algorithm::Match4)
+            .run(&list)
+            .into_matching();
         let f = matched_fraction(&list, &m);
         assert!((1.0 / 3.0..=0.5001).contains(&f), "fraction {f}");
         assert_eq!(

@@ -6,7 +6,7 @@
 //! overhead dominates the actual coin tossing. This module coalesces
 //! jobs into a single concatenated arena: every job's nodes are laid
 //! out at an offset, the cyclic-successor array maps each job's tail
-//! back to *its own* head, and one `relabel_rounds_in` sweep relabels
+//! back to *its own* head, and one relabel sweep relabels
 //! the whole concatenation. The finisher then runs per job on its label
 //! slice.
 //!
@@ -21,9 +21,10 @@
 //! 4.) The `fused_batch_matches_solo_runs` test pins the identity
 //! against per-job [`Runner`](crate::runner::Runner) runs.
 
-use crate::labels::{convergence_rounds, relabel_rounds_in};
+use crate::labels::{convergence_rounds, relabel_rounds};
 use crate::match1::Match1Output;
 use crate::matching::Matching;
+use crate::obs::NoopObserver;
 use crate::workspace::Workspace;
 use crate::CoinVariant;
 use parmatch_bits::{cascade_bound, ilog2_ceil, Word};
@@ -112,9 +113,10 @@ impl BatchPlan {
 
 /// Run Match1 on every job of a fused batch with **one** relabel sweep
 /// over the concatenated arena, finishing each job on its label slice.
-/// Outputs are bit-identical to per-job [`match1_in`](crate::match1_in)
-/// runs (matching, round count, and final bound alike); buffers live in
-/// `ws`, so a steady-state rerun of equal total size allocates nothing.
+/// Outputs are bit-identical to per-job [`Runner`](crate::Runner) Match1
+/// runs (matching, round count, and final bound alike). Per-node scratch
+/// lives in `ws`, so a steady-state rerun of equal total size allocates
+/// only the returned outputs and `O(jobs)` bookkeeping.
 ///
 /// # Panics
 ///
@@ -140,13 +142,14 @@ pub fn match1_batch_in(
             ..
         } = &mut *ws;
         let next_cyc: &[NodeId] = next_cyc;
-        relabel_rounds_in(
+        relabel_rounds(
             &|u: NodeId| next_cyc[u as usize],
             labels_a,
             labels_b,
             lists[0].len() as Word,
             plan.key.rounds,
             plan.key.variant,
+            &mut NoopObserver,
         );
     }
 
@@ -158,7 +161,7 @@ pub fn match1_batch_in(
     // matched-node bits all fall out of one pointer chase — no pred
     // inversion, no separate cut/walk/scatter passes. Every per-node
     // decision reads exactly the inputs the per-job
-    // [`from_labels_core`](crate::finish) passes would (walk marks are
+    // `finish::from_labels_core` passes would (walk marks are
     // node-disjoint, and a cut node never receives one), so the marks —
     // and the matching — are bit-identical to a solo run, while a batch
     // of B small jobs costs a handful of parallel dispatches instead of
@@ -272,11 +275,21 @@ pub fn match1_batch_in(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::{match1_in, verify};
+    use crate::runner::{Algorithm, Runner};
+    use crate::verify;
     use parmatch_list::{random_list, sequential_list};
+
+    /// The solo run a fused job must reproduce.
+    fn solo_run(list: &LinkedList, variant: CoinVariant) -> Match1Output {
+        Runner::new(Algorithm::Match1)
+            .variant(variant)
+            .run(list)
+            .as_match1()
+            .cloned()
+            .expect("Match1 outcome")
+    }
 
     #[test]
     fn key_splits_width_class_by_rounds() {
@@ -323,7 +336,7 @@ mod tests {
             let outs = match1_batch_in(&refs, &plan, &mut ws);
             assert_eq!(outs.len(), lists.len());
             for (list, out) in lists.iter().zip(&outs) {
-                let solo = match1_in(list, variant, &mut Workspace::new());
+                let solo = solo_run(list, variant);
                 assert_eq!(out.matching, solo.matching, "n={}", list.len());
                 assert_eq!(out.rounds, solo.rounds);
                 assert_eq!(out.final_bound, solo.final_bound);
@@ -337,7 +350,7 @@ mod tests {
         let list = random_list(100, 9);
         let plan = BatchPlan::new(&[&list], CoinVariant::Msb).unwrap();
         let out = match1_batch_in(&[&list], &plan, &mut Workspace::new());
-        let solo = match1_in(&list, CoinVariant::Msb, &mut Workspace::new());
+        let solo = solo_run(&list, CoinVariant::Msb);
         assert_eq!(out[0].matching, solo.matching);
     }
 
@@ -352,7 +365,7 @@ mod tests {
         assert_eq!(plan.key().rounds(), 0);
         let outs = match1_batch_in(&refs, &plan, &mut Workspace::new());
         for (list, out) in lists.iter().zip(&outs) {
-            let solo = match1_in(list, CoinVariant::Msb, &mut Workspace::new());
+            let solo = solo_run(list, CoinVariant::Msb);
             assert_eq!(out.matching, solo.matching);
             assert_eq!(out.final_bound, solo.final_bound);
         }

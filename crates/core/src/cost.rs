@@ -9,7 +9,7 @@
 //!   counts against these in shape only — constant factors are
 //!   implementation artifacts the paper does not fix.
 //! * **native work forms** ([`match1_native_work`] …): exact
-//!   sequential-work predictions for the rayon-native `*_in` pipelines,
+//!   sequential-work predictions for the rayon-native pipelines,
 //!   in the same units the observability layer's `work_units` counter
 //!   measures (one unit = one node visited by one pass). These are
 //!   derived independently from the bound cascade
@@ -69,7 +69,8 @@ pub fn work_efficiency(n: u64, p: u64, steps: u64) -> f64 {
     (p as f64 * steps as f64) / n.max(1) as f64
 }
 
-/// Exact work units of the native `match1_in` pipeline on an `n`-node
+/// Exact work units of the native Match1 pipeline ([`Runner`](crate::Runner) with
+/// [`Algorithm::Match1`](crate::Algorithm::Match1)) on an `n`-node
 /// list: `n` per relabel round (the round count is the data-independent
 /// [`cascade_rounds`]) plus the finisher's four passes. Zero for lists
 /// without pointers.
@@ -80,7 +81,8 @@ pub fn match1_native_work(n: u64) -> u64 {
     n * u64::from(cascade_rounds(n)) + 4 * n
 }
 
-/// Exact work units of the native `match2_in` pipeline with `rounds`
+/// Exact work units of the native Match2 pipeline ([`Runner`](crate::Runner) with
+/// [`Algorithm::Match2`](crate::Algorithm::Match2)) with `rounds`
 /// partition rounds on a single-tail list: `n` per round, set
 /// projection `n`, counting sort `2·(n−1)` over the `n − 1` real
 /// pointers (histogram + placement), sweep `n − 1`, final mask `n` —
@@ -92,7 +94,8 @@ pub fn match2_native_work(n: u64, rounds: u32) -> u64 {
     n * (u64::from(rounds) + 3) + 2 * (n - 1)
 }
 
-/// Exact work units of the native `match3_in` pipeline: `n` per crunch
+/// Exact work units of the native Match3 pipeline ([`Runner`](crate::Runner) with
+/// [`Algorithm::Match3`](crate::Algorithm::Match3)): `n` per crunch
 /// round, two passes per pointer-jump round (concatenate + jump), one
 /// probe pass, the finisher's four passes.
 pub fn match3_native_work(n: u64, crunch_rounds: u32, jump_rounds: u32) -> u64 {
@@ -102,7 +105,8 @@ pub fn match3_native_work(n: u64, crunch_rounds: u32, jump_rounds: u32) -> u64 {
     n * (u64::from(crunch_rounds) + 2 * u64::from(jump_rounds) + 5)
 }
 
-/// Exact work units of the native `match4_in` pipeline with `i`
+/// Exact work units of the native Match4 pipeline ([`Runner`](crate::Runner) with
+/// [`Algorithm::Match4`](crate::Algorithm::Match4)) with `i`
 /// partition rounds on a single-tail list. With `x = ` [`cascade_bound`]
 /// `(n, i)` rows and `y = ⌈n/x⌉` columns: `i·n` relabel, `10n` of
 /// linear passes (set projection, census, the grid's five passes, the
@@ -127,7 +131,6 @@ pub fn native_work_constant(work_units: u64, n: u64) -> u64 {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // pins the legacy names the Runner facade must stay bit-identical to
 mod tests {
     use super::*;
 
@@ -183,51 +186,40 @@ mod tests {
         // predictors above derive work from the bound cascade alone; the
         // matchers assemble their `work_units` counter from what they
         // actually executed. The two must agree exactly.
-        use crate::obs::Recorder;
-        use crate::{
-            match1_obs, match2_obs, match3_obs, match4_obs, CoinVariant, Match3Config, Workspace,
-        };
-        use parmatch_list::random_list;
+        use crate::obs::{Recorder, Recording};
+        use crate::runner::{Algorithm, MatchOutcome, Runner};
+        use crate::Workspace;
+        use parmatch_list::{random_list, LinkedList};
 
         let mut ws = Workspace::new();
+        let mut observed = |algo: Algorithm, list: &LinkedList| -> (MatchOutcome, Recording) {
+            let mut rec = Recorder::new();
+            let out = Runner::new(algo)
+                .workspace(&mut ws)
+                .observer(&mut rec)
+                .run(list);
+            (out, rec.finish())
+        };
         for n in [2u64, 97, 1024, 5000] {
             let list = random_list(n as usize, 11);
+            let work = |rec: &Recording| rec.find("work_units").unwrap_or(0);
 
-            let mut rec = Recorder::new();
-            match1_obs(&list, CoinVariant::Msb, &mut ws, &mut rec);
-            let rec = rec.finish();
-            assert_eq!(
-                rec.find("work_units").unwrap_or(0),
-                match1_native_work(n),
-                "match1 n={n}"
-            );
+            let (_, rec) = observed(Algorithm::Match1, &list);
+            assert_eq!(work(&rec), match1_native_work(n), "match1 n={n}");
 
-            let mut rec = Recorder::new();
-            match2_obs(&list, 2, CoinVariant::Msb, &mut ws, &mut rec);
-            let rec = rec.finish();
-            assert_eq!(
-                rec.find("work_units").unwrap_or(0),
-                match2_native_work(n, 2),
-                "match2 n={n}"
-            );
+            let (_, rec) = observed(Algorithm::Match2, &list);
+            assert_eq!(work(&rec), match2_native_work(n, 2), "match2 n={n}");
 
-            let mut rec = Recorder::new();
-            let out = match3_obs(&list, Match3Config::default(), &mut ws, &mut rec).unwrap();
-            let rec = rec.finish();
+            let (out, rec) = observed(Algorithm::Match3, &list);
+            let out = out.as_match3().expect("Match3 outcome");
             assert_eq!(
-                rec.find("work_units").unwrap_or(0),
+                work(&rec),
                 match3_native_work(n, out.crunch_rounds, out.jump_rounds),
                 "match3 n={n}"
             );
 
-            let mut rec = Recorder::new();
-            match4_obs(&list, 2, CoinVariant::Msb, &mut ws, &mut rec);
-            let rec = rec.finish();
-            assert_eq!(
-                rec.find("work_units").unwrap_or(0),
-                match4_native_work(n, 2),
-                "match4 n={n}"
-            );
+            let (_, rec) = observed(Algorithm::Match4, &list);
+            assert_eq!(work(&rec), match4_native_work(n, 2), "match4 n={n}");
             assert!(native_work_constant(match4_native_work(n, 2), n) <= 26);
         }
         assert_eq!(match1_native_work(1), 0);

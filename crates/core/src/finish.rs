@@ -20,6 +20,7 @@
 //!   parallel precisely because a set is a matching.
 
 use crate::matching::Matching;
+use crate::obs::Observer;
 use crate::partition::{PointerSets, NO_POINTER};
 use crate::workspace::{reset_bools, CHUNK};
 use parmatch_bits::Word;
@@ -100,20 +101,32 @@ pub fn from_labels(list: &LinkedList, labels: &[Word]) -> Matching {
     Matching::from_mask(list, mask)
 }
 
-/// Zero-allocation variant of [`from_labels`] used by the `*_in`
-/// drivers: all per-node state lives in caller-provided (workspace)
-/// buffers, the predecessor array is taken precomputed, and sublists
-/// are walked directly from their locally detectable heads (`h` starts
-/// a sublist iff `pred[h]` is [`NIL`] or cut) instead of materializing
-/// a sorted head list. Marks — and therefore the matching — are
-/// bit-identical to [`from_labels`].
-pub(crate) fn from_labels_core(
+/// The production form of [`from_labels`], run by the Match1 and
+/// Match3 bodies: all per-node state lives in caller-provided
+/// (workspace) buffers, the predecessor array is taken precomputed, and
+/// sublists are walked directly from their locally detectable heads
+/// (`h` starts a sublist iff `pred[h]` is [`NIL`] or cut) instead of
+/// materializing a sorted head list. Marks — and therefore the
+/// matching — are bit-identical to [`from_labels`].
+///
+/// An enabled [`Observer`] then replays the
+/// sublist structure left in the buffers (cut mask, walk marks) and
+/// records a `finish` span: cut pointers, sublist count, nodes walked
+/// (every node lies in exactly one sublist, so this totals `n`), walk
+/// marks vs. fix-up additions, and the longest sublist audited against
+/// the paper's `2·bound − 1` (a sublist has no interior local minimum,
+/// so its labels ascend then descend — at most `bound` nodes each way,
+/// sharing the peak).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn from_labels_core<O: Observer>(
     list: &LinkedList,
     labels: &[Word],
     pred: &[NodeId],
     cut: &mut Vec<bool>,
     mask: &mut Vec<AtomicBool>,
     matched: &mut Vec<AtomicBool>,
+    bound: Word,
+    obs: &mut O,
 ) -> Matching {
     let n = list.len();
     if n < 2 {
@@ -204,11 +217,70 @@ pub(crate) fn from_labels_core(
                     && !matched_ref[list.next_raw(v as NodeId) as usize].load(Ordering::Relaxed))
         })
         .collect();
-    Matching::from_mask(list, final_mask)
+    let m = Matching::from_mask(list, final_mask);
+    if O::ENABLED {
+        observe_sublists(list, pred, cut, mask, &m, bound, obs);
+    }
+    m
 }
 
-/// Zero-allocation, parallel variant of [`greedy_by_sets`] (ascending
-/// set order only) used by the `*_in` drivers.
+/// The `finish` span of [`from_labels_core`], replayed from the cut
+/// mask and walk marks it leaves behind.
+fn observe_sublists<O: Observer>(
+    list: &LinkedList,
+    pred: &[NodeId],
+    cut: &[bool],
+    mask: &[AtomicBool],
+    m: &Matching,
+    bound: Word,
+    obs: &mut O,
+) {
+    let n = list.len();
+    let cut_pointers = cut.iter().filter(|&&c| c).count() as u64;
+    let walk_marks = mask.iter().filter(|a| a.load(Ordering::Relaxed)).count() as u64;
+    let mut sublists = 0u64;
+    let mut walk_nodes = 0u64;
+    let mut max_sublist = 0u64;
+    for h in 0..n as NodeId {
+        let starts = match pred[h as usize] {
+            NIL => true,
+            u => cut[u as usize],
+        };
+        if !starts {
+            continue;
+        }
+        sublists += 1;
+        let mut v = h;
+        let mut len = 1u64;
+        loop {
+            if cut[v as usize] {
+                break;
+            }
+            match list.next_raw(v) {
+                NIL => break,
+                w => {
+                    len += 1;
+                    v = w;
+                }
+            }
+        }
+        walk_nodes += len;
+        max_sublist = max_sublist.max(len);
+    }
+    obs.enter("finish");
+    obs.counter("cut_pointers", cut_pointers);
+    obs.counter("sublists", sublists);
+    obs.counter("walk_nodes", walk_nodes);
+    obs.bounded("max_sublist_nodes", max_sublist, 2 * bound - 1);
+    obs.counter("walk_marks", walk_marks);
+    obs.counter("fixup_additions", m.len() as u64 - walk_marks);
+    obs.counter("matched", m.len() as u64);
+    obs.exit();
+}
+
+/// The production form of [`greedy_by_sets`] (ascending set order
+/// only), run by the Match2 and Match4 bodies with all state in
+/// workspace buffers.
 ///
 /// Bucketing is a chunked counting sort: a per-chunk × per-set histogram,
 /// a (tiny, `chunks × bound`) sequential prefix pass turning counts into
@@ -218,8 +290,13 @@ pub(crate) fn from_labels_core(
 /// pointers are node-disjoint (a set is a matching), so the parallel
 /// adds touch disjoint `done` slots and the result is bit-identical to
 /// the sequential sweep.
+///
+/// An enabled [`Observer`] records a `sweep`
+/// span — the set count, the bucketed pointer total (= the counting
+/// sort's scatter writes, read off the bucket boundaries left in
+/// `set_starts`), and the matching size.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn greedy_core(
+pub(crate) fn greedy_core<O: Observer>(
     list: &LinkedList,
     sets: &[Word],
     bound: Word,
@@ -228,6 +305,7 @@ pub(crate) fn greedy_core(
     bucket_nodes: &mut Vec<AtomicU32>,
     hist: &mut Vec<usize>,
     set_starts: &mut Vec<usize>,
+    obs: &mut O,
 ) -> Matching {
     let n = list.len();
     assert_eq!(sets.len(), n, "set array length mismatch");
@@ -301,108 +379,9 @@ pub(crate) fn greedy_core(
         .with_min_len(CHUNK)
         .map(|v| mask_ref[v].load(Ordering::Relaxed))
         .collect();
-    Matching::from_mask(list, final_mask)
-}
-
-/// [`from_labels_core`] with an [`Observer`](crate::obs::Observer).
-///
-/// The matching is computed by the plain core unconditionally; an
-/// enabled observer then replays the sublist structure left in the
-/// workspace buffers (cut mask, walk marks, matched-node marks) and
-/// records a `finish` span: cut pointers, sublist count, nodes walked
-/// (every node lies in exactly one sublist, so this totals `n`), walk
-/// marks vs. fix-up additions, and the longest sublist audited against
-/// the paper's `2·bound − 1` (a sublist has no interior local minimum,
-/// so its labels ascend then descend — at most `bound` nodes each way,
-/// sharing the peak).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn from_labels_core_obs<O: crate::obs::Observer>(
-    list: &LinkedList,
-    labels: &[Word],
-    pred: &[NodeId],
-    cut: &mut Vec<bool>,
-    mask: &mut Vec<AtomicBool>,
-    matched: &mut Vec<AtomicBool>,
-    bound: Word,
-    obs: &mut O,
-) -> Matching {
-    let m = from_labels_core(list, labels, pred, cut, mask, matched);
-    let n = list.len();
-    if !O::ENABLED || n < 2 {
-        return m;
-    }
-    let cut_pointers = cut.iter().filter(|&&c| c).count() as u64;
-    let walk_marks = mask.iter().filter(|a| a.load(Ordering::Relaxed)).count() as u64;
-    let mut sublists = 0u64;
-    let mut walk_nodes = 0u64;
-    let mut max_sublist = 0u64;
-    for h in 0..n as NodeId {
-        let starts = match pred[h as usize] {
-            NIL => true,
-            u => cut[u as usize],
-        };
-        if !starts {
-            continue;
-        }
-        sublists += 1;
-        let mut v = h;
-        let mut len = 1u64;
-        loop {
-            if cut[v as usize] {
-                break;
-            }
-            match list.next_raw(v) {
-                NIL => break,
-                w => {
-                    len += 1;
-                    v = w;
-                }
-            }
-        }
-        walk_nodes += len;
-        max_sublist = max_sublist.max(len);
-    }
-    obs.enter("finish");
-    obs.counter("cut_pointers", cut_pointers);
-    obs.counter("sublists", sublists);
-    obs.counter("walk_nodes", walk_nodes);
-    obs.bounded("max_sublist_nodes", max_sublist, 2 * bound - 1);
-    obs.counter("walk_marks", walk_marks);
-    obs.counter("fixup_additions", m.len() as u64 - walk_marks);
-    obs.counter("matched", m.len() as u64);
-    obs.exit();
-    m
-}
-
-/// [`greedy_core`] with an [`Observer`](crate::obs::Observer): after the
-/// plain sweep, an enabled observer records a `sweep` span — the set
-/// count, the bucketed pointer total (= the counting sort's scatter
-/// writes, read off the bucket boundaries the core leaves in
-/// `set_starts`), and the matching size.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn greedy_core_obs<O: crate::obs::Observer>(
-    list: &LinkedList,
-    sets: &[Word],
-    bound: Word,
-    done: &mut Vec<AtomicBool>,
-    greedy_mask: &mut Vec<AtomicBool>,
-    bucket_nodes: &mut Vec<AtomicU32>,
-    hist: &mut Vec<usize>,
-    set_starts: &mut Vec<usize>,
-    obs: &mut O,
-) -> Matching {
-    let m = greedy_core(
-        list,
-        sets,
-        bound,
-        done,
-        greedy_mask,
-        bucket_nodes,
-        hist,
-        set_starts,
-    );
+    let m = Matching::from_mask(list, final_mask);
     if O::ENABLED {
-        let bucketed = *set_starts.last().unwrap_or(&0) as u64;
+        let bucketed = set_starts[b] as u64;
         obs.enter("sweep");
         obs.counter("sets", bound);
         obs.counter("bucketed_pointers", bucketed);

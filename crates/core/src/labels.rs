@@ -33,11 +33,8 @@ use parmatch_bits::{ilog2_ceil, Word};
 use parmatch_list::{LinkedList, NodeId};
 use rayon::prelude::*;
 
-/// Maximum coin-tossing rounds fused into one blocked memory pass.
-pub(crate) const FUSE: usize = 4;
-
-/// Nodes per parallel chunk of a fused pass.
-const FUSE_CHUNK: usize = 4096;
+use crate::obs::{NoopObserver, Observer};
+use crate::workspace::CHUNK;
 
 /// Bit width used by a relabel round starting from `bound`.
 #[inline]
@@ -54,84 +51,81 @@ pub(crate) fn convergence_rounds(bound: Word) -> u32 {
     parmatch_bits::cascade_rounds(bound)
 }
 
-/// One blocked pass applying `widths.len() ≤ FUSE` consecutive rounds of
-/// `label[v] := f_ext(label[v], label[suc(v)])`.
-///
-/// For `g` fused rounds each node gathers the labels of `suc^0(v)` …
-/// `suc^g(v)` once and folds the triangle locally — round `t` of the
-/// fold uses `widths[t]`, exactly the width round `t` would use in the
-/// unfused cascade, so the result is bit-identical to `g` separate
-/// [`LabelSeq::relabel`] calls while touching memory once instead of
-/// `g` times.
-fn fused_pass<S>(suc: &S, input: &[Word], out: &mut [Word], widths: &[u32], variant: CoinVariant)
-where
-    S: Fn(NodeId) -> NodeId + Sync,
-{
-    let g = widths.len();
-    debug_assert!((1..=FUSE).contains(&g));
-    out.par_chunks_mut(FUSE_CHUNK)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let base = ci * FUSE_CHUNK;
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                let mut lab = [0 as Word; FUSE + 1];
-                let mut u = (base + i) as NodeId;
-                for l in lab.iter_mut().take(g + 1) {
-                    *l = input[u as usize];
-                    u = suc(u);
-                }
-                for (t, &w) in widths.iter().enumerate() {
-                    for j in 0..(g - t) {
-                        lab[j] = f_ext(lab[j], lab[j + 1], w, variant);
-                    }
-                }
-                *slot = lab[0];
-            }
-        });
-}
-
 /// Apply `rounds` relabel rounds to `cur` in place (using `alt` as the
-/// double buffer), fusing up to [`FUSE`] rounds per memory pass.
-/// Returns the final bound. Output is bit-identical to `rounds` chained
-/// [`LabelSeq::relabel`] calls.
-pub(crate) fn relabel_rounds_in<S>(
+/// double buffer) and return the final bound. Output is bit-identical
+/// to `rounds` chained [`LabelSeq::relabel`] calls.
+///
+/// Every round is one parallel pass that scans `cur` and the successor
+/// array in order and makes one independent label gather per node.
+/// An enabled [`Observer`] also records a
+/// `relabel` span: one `round` child per round carrying the round's
+/// width, new bound and a [`census256`] of distinct labels audited
+/// against Lemma 1's `2w`, plus totals (`final_bound`,
+/// `bytes_touched`).
+pub(crate) fn relabel_rounds<S, O: Observer>(
     suc: &S,
     cur: &mut Vec<Word>,
     alt: &mut Vec<Word>,
-    mut bound: Word,
+    bound: Word,
     rounds: u32,
     variant: CoinVariant,
+    obs: &mut O,
 ) -> Word
 where
     S: Fn(NodeId) -> NodeId + Sync,
 {
-    alt.resize(cur.len(), 0);
-    let mut done = 0;
-    while done < rounds {
-        let g = ((rounds - done) as usize).min(FUSE);
-        let mut widths = [0u32; FUSE];
-        for slot in widths.iter_mut().take(g) {
-            let w = width_of(bound);
-            *slot = w;
-            bound = 2 * Word::from(w) + 1;
-        }
-        fused_pass(suc, cur, alt, &widths[..g], variant);
-        std::mem::swap(cur, alt);
-        done += g as u32;
+    let n = cur.len();
+    alt.resize(n, 0);
+    if O::ENABLED {
+        obs.enter("relabel");
+        obs.counter("rounds", u64::from(rounds));
+        obs.counter("initial_bound", bound);
     }
-    bound
+    let mut b = bound;
+    for r in 0..rounds {
+        let w = width_of(b);
+        {
+            let input: &[Word] = cur;
+            alt.par_chunks_mut(CHUNK)
+                .enumerate()
+                .for_each(|(ci, chunk)| {
+                    let base = ci * CHUNK;
+                    for (i, slot) in chunk.iter_mut().enumerate() {
+                        let v = base + i;
+                        let s = suc(v as NodeId) as usize;
+                        *slot = f_ext(input[v], input[s], w, variant);
+                    }
+                });
+        }
+        std::mem::swap(cur, alt);
+        b = 2 * Word::from(w) + 1;
+        if O::ENABLED {
+            obs.enter("round");
+            obs.counter("k", u64::from(r + 1));
+            obs.counter("width_bits", u64::from(w));
+            obs.counter("bound", b);
+            obs.bounded("distinct_labels", census256(cur), 2 * u64::from(w));
+            obs.exit();
+        }
+    }
+    if O::ENABLED {
+        obs.counter("final_bound", b);
+        obs.counter("bytes_touched", crate::obs::relabel_bytes(n, rounds));
+        obs.exit();
+    }
+    b
 }
 
 /// Count distinct label values in an array whose values are all `< 256`
 /// — true for any post-round label array, whose bound is at most
 /// `2·64 + 1 = 129`. Parallel per-chunk bitmask census, OR-reduced.
 pub(crate) fn census256(labels: &[Word]) -> u64 {
-    let nchunks = labels.len().div_ceil(FUSE_CHUNK);
+    let nchunks = labels.len().div_ceil(CHUNK);
     let partial: Vec<[u64; 4]> = (0..nchunks)
         .into_par_iter()
         .map(|ci| {
             let mut m = [0u64; 4];
-            for &l in &labels[ci * FUSE_CHUNK..((ci + 1) * FUSE_CHUNK).min(labels.len())] {
+            for &l in &labels[ci * CHUNK..((ci + 1) * CHUNK).min(labels.len())] {
                 debug_assert!(l < 256, "census256 on labels above 255");
                 m[(l >> 6) as usize] |= 1 << (l & 63);
             }
@@ -145,55 +139,6 @@ pub(crate) fn census256(labels: &[Word]) -> u64 {
         }
     }
     mask.iter().map(|w| u64::from(w.count_ones())).sum()
-}
-
-/// [`relabel_rounds_in`] with an [`Observer`](crate::obs::Observer).
-///
-/// Disabled observers take the fused path unchanged — this compiles to
-/// exactly [`relabel_rounds_in`]. An enabled observer forces one round
-/// per memory pass (`g = 1` through the same [`fused_pass`] kernel, so
-/// the labels stay bit-identical — the property
-/// `fused_rounds_match_unfused_exactly` pins) and records a `relabel`
-/// span: one `round` child per round carrying the round's width, new
-/// bound and a [`census256`] of distinct labels audited against
-/// Lemma 1's `2w`, plus totals (`final_bound`, `bytes_touched`).
-pub(crate) fn relabel_rounds_obs<S, O: crate::obs::Observer>(
-    suc: &S,
-    cur: &mut Vec<Word>,
-    alt: &mut Vec<Word>,
-    bound: Word,
-    rounds: u32,
-    variant: CoinVariant,
-    obs: &mut O,
-) -> Word
-where
-    S: Fn(NodeId) -> NodeId + Sync,
-{
-    if !O::ENABLED {
-        return relabel_rounds_in(suc, cur, alt, bound, rounds, variant);
-    }
-    obs.enter("relabel");
-    obs.counter("rounds", u64::from(rounds));
-    obs.counter("initial_bound", bound);
-    let n = cur.len();
-    alt.resize(n, 0);
-    let mut b = bound;
-    for r in 0..rounds {
-        let w = width_of(b);
-        fused_pass(suc, cur, alt, &[w], variant);
-        std::mem::swap(cur, alt);
-        b = 2 * Word::from(w) + 1;
-        obs.enter("round");
-        obs.counter("k", u64::from(r + 1));
-        obs.counter("width_bits", u64::from(w));
-        obs.counter("bound", b);
-        obs.bounded("distinct_labels", census256(cur), 2 * u64::from(w));
-        obs.exit();
-    }
-    obs.counter("final_bound", b);
-    obs.counter("bytes_touched", crate::obs::relabel_bytes(n, rounds));
-    obs.exit();
-    b
 }
 
 /// The matching partition function on a pair of distinct labels:
@@ -372,22 +317,21 @@ impl LabelSeq {
         }
     }
 
-    /// Apply `k` rounds of [`relabel`](Self::relabel), fusing up to
-    /// `FUSE` rounds into each blocked memory pass. Bit-identical to
-    /// `k` chained `relabel` calls (each fold step uses the width its
-    /// round would use), but reads/writes the label array `⌈k/FUSE⌉`
-    /// times instead of `k` times.
+    /// Apply `k` rounds of [`relabel`](Self::relabel) through the
+    /// matchers' relabel kernel, double-buffered in two arrays.
+    /// Bit-identical to `k` chained `relabel` calls.
     pub fn relabel_k(&self, list: &LinkedList, k: u32) -> Self {
         assert_eq!(list.len(), self.labels.len(), "label/list size mismatch");
         let mut cur = self.labels.clone();
         let mut alt = Vec::new();
-        let bound = relabel_rounds_in(
+        let bound = relabel_rounds(
             &|u| list.next_cyclic(u),
             &mut cur,
             &mut alt,
             self.bound,
             k,
             self.variant,
+            &mut NoopObserver,
         );
         Self {
             labels: cur,
@@ -400,7 +344,7 @@ impl LabelSeq {
     /// Relabel until the bound stops shrinking — `G(n) + O(1)` rounds —
     /// and return the converged labelling. This is step 2 of Match1 run
     /// to the fixed point. The round count is a pure function of the
-    /// bound cascade, so the rounds are planned up front and fused.
+    /// bound cascade, so it is planned up front.
     pub fn relabel_to_convergence(&self, list: &LinkedList) -> Self {
         self.relabel_k(list, convergence_rounds(self.bound))
     }
@@ -573,16 +517,19 @@ mod tests {
 
     #[test]
     fn fused_rounds_match_unfused_exactly() {
-        // The fused kernel must agree with chained single rounds for
-        // every k across the FUSE boundary, bit for bit.
+        // The production kernel (`relabel_rounds`, through `relabel_k`)
+        // must agree with chained single `relabel` rounds for every k,
+        // bit for bit.
         let list = random_list(3000, 17);
         for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
             let l0 = LabelSeq::initial(&list, variant);
             let mut chained = l0.clone();
-            for k in 1..=(2 * FUSE as u32 + 1) {
-                chained = chained.relabel(&list);
-                let fused = l0.relabel_k(&list, k);
-                assert_eq!(fused, chained, "k = {k} {variant:?}");
+            for k in 0..=9 {
+                if k > 0 {
+                    chained = chained.relabel(&list);
+                }
+                let kernel = l0.relabel_k(&list, k);
+                assert_eq!(kernel, chained, "k = {k} {variant:?}");
             }
         }
     }
@@ -606,10 +553,17 @@ mod tests {
                 let mut plain: Vec<Word> = (0..n as Word).collect();
                 let mut obs_run = plain.clone();
                 let (mut alt_a, mut alt_b) = (Vec::new(), Vec::new());
-                let b1 =
-                    relabel_rounds_in(&suc, &mut plain, &mut alt_a, n as Word, rounds, variant);
+                let b1 = relabel_rounds(
+                    &suc,
+                    &mut plain,
+                    &mut alt_a,
+                    n as Word,
+                    rounds,
+                    variant,
+                    &mut NoopObserver,
+                );
                 let mut rec = crate::obs::Recorder::new();
-                let b2 = relabel_rounds_obs(
+                let b2 = relabel_rounds(
                     &suc,
                     &mut obs_run,
                     &mut alt_b,

@@ -17,13 +17,13 @@
 //! | [`table`] | lookup tables for `f^(i)` (Match3 steps 2–4, appendix) |
 //! | [`matching`], [`verify`] | matching representation and checkers |
 //! | [`finish`] | Match1 steps 3–4 (cut at local minima, walk sublists) and the greedy set sweep of Match2 step 3 |
-//! | [`match1`](mod@match1)–[`match4`](mod@match4) | the four algorithms, rayon-native |
-//! | [`walkdown`] | WalkDown1 (Lemma 6) and WalkDown2 (Lemma 7 pipeline) |
+//! | [`match1`]–[`match4`] | the four algorithms, rayon-native, run through [`Runner`] |
+//! | [`walkdown`] | WalkDown1 (Lemma 6) and WalkDown2 (Lemma 7 pipeline), public as [`walkdown::color_pointers`] |
 //! | [`pram_impl`] | step-faithful simulator versions with exact PRAM step counts |
 //! | [`cost`] | the paper's analytic step-count and work predictions |
-//! | [`workspace`] | reusable buffer arena for the zero-allocation `*_in` drivers |
+//! | [`workspace`] | reusable per-node buffer arena, passed to [`Runner::workspace`] |
 //! | [`obs`] | span-tree instrumentation auditing runs against the paper's bounds |
-//! | [`runner`] | the unified [`Runner`] facade over all four algorithms |
+//! | [`runner`] | [`Runner`], the one public way to run any of the four algorithms |
 //! | [`batch`] | fused batch execution of many small jobs in one sweep |
 //!
 //! # Quick start
@@ -69,16 +69,8 @@ pub mod workspace;
 pub use batch::{match1_batch_in, BatchKey, BatchPlan};
 pub use labels::{f_ext, f_pair, LabelSeq};
 pub use match1::Match1Output;
-#[allow(deprecated)]
-pub use match1::{match1, match1_in, match1_obs};
 pub use match2::Match2Output;
-#[allow(deprecated)]
-pub use match2::{match2, match2_in, match2_obs};
-#[allow(deprecated)]
-pub use match3::{match3, match3_in, match3_obs};
 pub use match3::{Match3Config, Match3Error, Match3Output};
-#[allow(deprecated)]
-pub use match4::{match4, match4_in, match4_obs, match4_with};
 pub use match4::{match4_from_partition, Match4Output};
 pub use matching::Matching;
 pub use obs::{NoopObserver, Observer, Recorder, Recording};

@@ -11,16 +11,16 @@
 //! `n` nodes. Not optimal (Lemma 3), but the building block of
 //! everything else.
 
-use crate::finish::from_labels_core_obs;
-use crate::labels::{convergence_rounds, relabel_rounds_obs};
+use crate::finish::from_labels_core;
+use crate::labels::{convergence_rounds, relabel_rounds};
 use crate::matching::Matching;
-use crate::obs::{NoopObserver, Observer};
+use crate::obs::Observer;
 use crate::workspace::Workspace;
 use crate::CoinVariant;
 use parmatch_bits::{g_of, Word};
 use parmatch_list::{LinkedList, NodeId};
 
-/// Result of [`match1`]: the matching plus the run's vital signs.
+/// Result of a Match1 run: the matching plus the run's vital signs.
 #[derive(Debug, Clone)]
 pub struct Match1Output {
     /// The maximal matching.
@@ -31,49 +31,18 @@ pub struct Match1Output {
     pub final_bound: u64,
 }
 
-/// Compute a maximal matching with Algorithm Match1: iterate `f` to
-/// convergence (`G(n) + O(1)` rounds), then cut-and-walk.
+/// Algorithm Match1: iterate `f` to convergence (`G(n) + O(1)`
+/// rounds), then cut-and-walk, in the buffers of `ws`. Lists with fewer
+/// than 2 nodes yield the empty matching. [`Runner`](crate::Runner)
+/// with [`Algorithm::Match1`](crate::Algorithm::Match1) is the public
+/// door.
 ///
-/// Lists with fewer than 2 nodes yield the empty matching.
-///
-/// # Examples
-///
-/// ```
-/// use parmatch_core::{match1, verify, CoinVariant};
-/// use parmatch_list::random_list;
-///
-/// let list = random_list(10_000, 1);
-/// # #[allow(deprecated)]
-/// let out = match1(&list, CoinVariant::Msb);
-/// verify::assert_maximal_matching(&list, &out.matching);
-/// assert!(out.rounds <= 5);          // ≈ G(n): effectively constant
-/// assert!(out.final_bound <= 9);     // the cascade's fixed point
-/// ```
-#[deprecated(note = "use Runner")]
-#[allow(deprecated)]
-pub fn match1(list: &LinkedList, variant: CoinVariant) -> Match1Output {
-    match1_in(list, variant, &mut Workspace::new())
-}
-
-/// [`match1`] running in a reusable [`Workspace`]: after the first call
-/// on a given list size every pass (fused relabel rounds, cut, walk,
-/// fix-up) works in preallocated buffers. The result is bit-identical to
-/// [`match1`] at every thread count.
-#[deprecated(note = "use Runner")]
-#[allow(deprecated)]
-pub fn match1_in(list: &LinkedList, variant: CoinVariant, ws: &mut Workspace) -> Match1Output {
-    match1_obs(list, variant, ws, &mut NoopObserver)
-}
-
-/// [`match1_in`] with an [`Observer`]. With the (default)
-/// [`NoopObserver`] this *is* `match1_in` — every instrumentation site
-/// compiles out. An enabled observer receives a `match1` span: the
-/// per-round `relabel` subtree (distinct-label censuses vs. Lemma 1),
-/// the round count audited against Match1 step 2's `G(n) + O(1)`, the
-/// `finish` subtree (sublist lengths vs. `2·bound − 1`), and the total
-/// work units audited against the `O(n·G(n))` form of Lemma 3.
-#[deprecated(note = "use Runner")]
-pub fn match1_obs<O: Observer>(
+/// An enabled observer receives a `match1` span: the per-round
+/// `relabel` subtree (distinct-label censuses vs. Lemma 1), the round
+/// count audited against Match1 step 2's `G(n) + O(1)`, the `finish`
+/// subtree (sublist lengths vs. `2·bound − 1`), and the total work
+/// units audited against the `O(n·G(n))` form of Lemma 3.
+pub(crate) fn run<O: Observer>(
     list: &LinkedList,
     variant: CoinVariant,
     ws: &mut Workspace,
@@ -105,7 +74,7 @@ pub fn match1_obs<O: Observer>(
     let g = g_of(n as Word);
     obs.enter("match1");
     obs.counter("n", n as u64);
-    let bound = relabel_rounds_obs(
+    let bound = relabel_rounds(
         &|u: NodeId| next_cyc[u as usize],
         labels_a,
         labels_b,
@@ -117,7 +86,7 @@ pub fn match1_obs<O: Observer>(
     if O::ENABLED {
         obs.bounded("rounds", u64::from(rounds), u64::from(g) + 2);
     }
-    let matching = from_labels_core_obs(list, labels_a, pred, cut, mask, matched, bound, obs);
+    let matching = from_labels_core(list, labels_a, pred, cut, mask, matched, bound, obs);
     if O::ENABLED {
         // n per relabel round, plus the finisher's four passes (cut,
         // walk, matched scatter, final mask).
@@ -134,11 +103,15 @@ pub fn match1_obs<O: Observer>(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::obs::NoopObserver;
     use crate::verify;
     use parmatch_list::{blocked_list, random_list, reversed_list, sequential_list};
+
+    fn match1(list: &LinkedList, variant: CoinVariant) -> Match1Output {
+        run(list, variant, &mut Workspace::new(), &mut NoopObserver)
+    }
 
     #[test]
     fn maximal_on_random_lists() {
@@ -201,7 +174,7 @@ mod tests {
         let mut ws = crate::Workspace::new();
         for (n, seed) in [(2000, 1u64), (500, 2), (500, 3), (3001, 4), (2, 5)] {
             let list = random_list(n, seed);
-            let reused = match1_in(&list, CoinVariant::Msb, &mut ws);
+            let reused = run(&list, CoinVariant::Msb, &mut ws, &mut NoopObserver);
             let fresh = match1(&list, CoinVariant::Msb);
             assert_eq!(reused.matching, fresh.matching, "n={n} seed={seed}");
             assert_eq!(reused.rounds, fresh.rounds);
@@ -211,13 +184,17 @@ mod tests {
 
     #[test]
     fn agrees_with_reference_composition() {
-        // match1 == LabelSeq-to-convergence + from_labels (the unfused,
-        // allocation-per-round reference path), bit for bit.
+        // match1 == chained LabelSeq::relabel to convergence +
+        // from_labels (the allocation-per-round reference path), bit for
+        // bit.
         use crate::finish::from_labels;
         use crate::labels::LabelSeq;
         for seed in 0..4 {
             let list = random_list(2500, seed);
-            let labels = LabelSeq::initial(&list, CoinVariant::Msb).relabel_to_convergence(&list);
+            let mut labels = LabelSeq::initial(&list, CoinVariant::Msb);
+            while !labels.converged() {
+                labels = labels.relabel(&list);
+            }
             let reference = from_labels(&list, labels.labels());
             let out = match1(&list, CoinVariant::Msb);
             assert_eq!(out.matching, reference, "seed {seed}");

@@ -14,10 +14,10 @@
 //! processors; the sort step is what stops it scaling further, which is
 //! exactly the gap Match4 closes.
 
-use crate::finish::greedy_core_obs;
-use crate::labels::relabel_rounds_obs;
+use crate::finish::greedy_core;
+use crate::labels::relabel_rounds;
 use crate::matching::Matching;
-use crate::obs::{NoopObserver, Observer};
+use crate::obs::Observer;
 use crate::partition::{PointerSets, NO_POINTER};
 use crate::workspace::{Workspace, CHUNK};
 use crate::CoinVariant;
@@ -25,7 +25,7 @@ use parmatch_bits::Word;
 use parmatch_list::{LinkedList, NodeId, NIL};
 use rayon::prelude::*;
 
-/// Result of [`match2`].
+/// Result of a Match2 run.
 #[derive(Debug, Clone)]
 pub struct Match2Output {
     /// The maximal matching.
@@ -34,67 +34,26 @@ pub struct Match2Output {
     pub partition: PointerSets,
 }
 
-/// Compute a maximal matching with Algorithm Match2, using `rounds`
-/// applications of `f` for step 1 (the paper's `log^(2) n`-set partition
-/// corresponds to `rounds = 2`).
+/// Algorithm Match2 with `rounds ≥ 1` applications of `f` for step 1
+/// (the paper's `log^(2) n`-set partition corresponds to `rounds = 2`),
+/// in the buffers of `ws`: relabel rounds, chunked counting-sort
+/// bucketing and a per-set parallel sweep. [`Runner`](crate::Runner)
+/// with [`Algorithm::Match2`](crate::Algorithm::Match2) is the public
+/// door; it rejects `rounds == 0` before calling this.
 ///
-/// # Examples
-///
-/// ```
-/// use parmatch_core::{match2, verify, CoinVariant};
-/// use parmatch_list::random_list;
-///
-/// let list = random_list(10_000, 1);
-/// # #[allow(deprecated)]
-/// let out = match2(&list, 2, CoinVariant::Msb);
-/// verify::assert_maximal_matching(&list, &out.matching);
-/// // two rounds leave ≈ 2·log log n matching sets to sweep
-/// assert!(out.partition.distinct_sets() <= 12);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `rounds == 0`.
-#[deprecated(note = "use Runner")]
-#[allow(deprecated)]
-pub fn match2(list: &LinkedList, rounds: u32, variant: CoinVariant) -> Match2Output {
-    match2_in(list, rounds, variant, &mut Workspace::new())
-}
-
-/// [`match2`] running in a reusable [`Workspace`]: fused relabel rounds,
-/// chunked counting-sort bucketing and a per-set parallel sweep, all in
-/// preallocated buffers (the returned partition is the only steady-state
-/// allocation). Bit-identical to [`match2`] at every thread count.
-#[deprecated(note = "use Runner")]
-#[allow(deprecated)]
-pub fn match2_in(
-    list: &LinkedList,
-    rounds: u32,
-    variant: CoinVariant,
-    ws: &mut Workspace,
-) -> Match2Output {
-    match2_obs(list, rounds, variant, ws, &mut NoopObserver)
-}
-
-/// [`match2_in`] with an [`Observer`]. With the (default)
-/// [`NoopObserver`] this *is* `match2_in`. An enabled observer receives
-/// a `match2` span: the `relabel` subtree, the distinct matching-set
-/// count audited against the partition bound (Lemma 2's cascade), the
-/// `sweep` subtree from the greedy set sweep, and the total work units
-/// audited against Lemma 4's `O(n)` form.
-///
-/// # Panics
-///
-/// Panics if `rounds == 0`.
-#[deprecated(note = "use Runner")]
-pub fn match2_obs<O: Observer>(
+/// An enabled observer receives a `match2` span: the `relabel`
+/// subtree, the distinct matching-set count audited against the
+/// partition bound (Lemma 2's cascade), the `sweep` subtree from the
+/// greedy set sweep, and the total work units audited against Lemma 4's
+/// `O(n)` form.
+pub(crate) fn run<O: Observer>(
     list: &LinkedList,
     rounds: u32,
     variant: CoinVariant,
     ws: &mut Workspace,
     obs: &mut O,
 ) -> Match2Output {
-    assert!(rounds >= 1, "at least one partition round required");
+    debug_assert!(rounds >= 1, "Runner rejects rounds == 0");
     let n = list.len();
     if n < 2 {
         // an empty partition placeholder is not constructible for tiny
@@ -121,7 +80,7 @@ pub fn match2_obs<O: Observer>(
     let next_cyc: &[NodeId] = next_cyc;
     obs.enter("match2");
     obs.counter("n", n as u64);
-    let bound = relabel_rounds_obs(
+    let bound = relabel_rounds(
         &|u: NodeId| next_cyc[u as usize],
         labels_a,
         labels_b,
@@ -146,7 +105,7 @@ pub fn match2_obs<O: Observer>(
     if O::ENABLED {
         obs.bounded("distinct_sets", partition.distinct_sets() as u64, bound);
     }
-    let matching = greedy_core_obs(
+    let matching = greedy_core(
         list,
         partition.as_slice(),
         bound,
@@ -174,11 +133,21 @@ pub fn match2_obs<O: Observer>(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::obs::NoopObserver;
     use crate::verify;
     use parmatch_list::{random_list, sequential_list, strided_list};
+
+    fn match2(list: &LinkedList, rounds: u32, variant: CoinVariant) -> Match2Output {
+        run(
+            list,
+            rounds,
+            variant,
+            &mut Workspace::new(),
+            &mut NoopObserver,
+        )
+    }
 
     #[test]
     fn maximal_across_rounds() {

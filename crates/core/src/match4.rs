@@ -20,12 +20,12 @@
 //! available by pre-partitioning with [`crate::table`] — the experiment
 //! drivers exercise both.
 
-use crate::finish::{greedy_by_sets, greedy_core_obs};
-use crate::labels::relabel_rounds_obs;
+use crate::finish::{greedy_by_sets, greedy_core};
+use crate::labels::relabel_rounds;
 use crate::matching::Matching;
-use crate::obs::{NoopObserver, Observer};
+use crate::obs::Observer;
 use crate::partition::{PointerSets, NO_POINTER};
-use crate::walkdown::{color_pointers, walkdown1_obs, walkdown2_obs, Grid, UNCOLORED};
+use crate::walkdown::{color_pointers, walkdown1, walkdown2, Grid, UNCOLORED};
 use crate::workspace::{Workspace, CHUNK};
 use crate::CoinVariant;
 use parmatch_bits::{ilog2_ceil, Word};
@@ -33,7 +33,7 @@ use parmatch_list::{LinkedList, NodeId, NIL};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Result of [`match4`] with the grid's vital signs.
+/// Result of a Match4 run, with the grid's vital signs.
 #[derive(Debug, Clone)]
 pub struct Match4Output {
     /// The maximal matching.
@@ -49,66 +49,28 @@ pub struct Match4Output {
     pub walk_rounds: usize,
 }
 
-/// Compute a maximal matching with Algorithm Match4, using `i`
-/// applications of `f` for the step-1 partition.
+/// Algorithm Match4 with `i ≥ 1` applications of `f` for the step-1
+/// partition, in the buffers of `ws`: relabel rounds, the grid built
+/// into loaned flat storage, walkdown colors and the greedy sweep.
+/// [`Runner`](crate::Runner) with
+/// [`Algorithm::Match4`](crate::Algorithm::Match4) is the public door;
+/// it rejects `i == 0` before calling this.
 ///
-/// # Panics
-///
-/// Panics if `i == 0`.
-#[deprecated(note = "use Runner")]
-#[allow(deprecated)]
-pub fn match4(list: &LinkedList, i: u32) -> Match4Output {
-    match4_with(list, i, CoinVariant::Msb)
-}
-
-/// [`match4`] with an explicit coin-tossing variant.
-#[deprecated(note = "use Runner")]
-#[allow(deprecated)]
-pub fn match4_with(list: &LinkedList, i: u32, variant: CoinVariant) -> Match4Output {
-    match4_in(list, i, variant, &mut Workspace::new())
-}
-
-/// [`match4`] running in a reusable [`Workspace`]: fused step-1 rounds,
-/// the grid built into loaned flat storage, walkdown colors and the
-/// greedy sweep in preallocated buffers. Bit-identical to
-/// [`match4_with`] at every thread count.
-///
-/// # Panics
-///
-/// Panics if `i == 0`.
-#[deprecated(note = "use Runner")]
-#[allow(deprecated)]
-pub fn match4_in(
-    list: &LinkedList,
-    i: u32,
-    variant: CoinVariant,
-    ws: &mut Workspace,
-) -> Match4Output {
-    match4_obs(list, i, variant, ws, &mut NoopObserver)
-}
-
-/// [`match4_in`] with an [`Observer`]. With the (default)
-/// [`NoopObserver`] this *is* `match4_in`. An enabled observer receives
-/// a `match4` span: the step-1 `relabel` subtree, a `partition` span
-/// with the distinct-set census audited against the cascade bound, a
-/// `grid` span (rows `x`, columns `y`, per-column sort work), the
-/// `walkdown1`/`walkdown2` spans with their lockstep rounds audited
-/// against Lemmas 6–7 (`x` and `2x − 1`), the `sweep` subtree, the
-/// combined walk rounds audited against `3x − 1`, and total work units
-/// audited against Theorem 1's `c·n` form.
-///
-/// # Panics
-///
-/// Panics if `i == 0`.
-#[deprecated(note = "use Runner")]
-pub fn match4_obs<O: Observer>(
+/// An enabled observer receives a `match4` span: the step-1 `relabel`
+/// subtree, a `partition` span with the distinct-set census audited
+/// against the cascade bound, a `grid` span (rows `x`, columns `y`,
+/// per-column sort work), the `walkdown1`/`walkdown2` spans with their
+/// lockstep rounds audited against Lemmas 6–7 (`x` and `2x − 1`), the
+/// `sweep` subtree, the combined walk rounds audited against `3x − 1`,
+/// and total work units audited against Theorem 1's `c·n` form.
+pub(crate) fn run<O: Observer>(
     list: &LinkedList,
     i: u32,
     variant: CoinVariant,
     ws: &mut Workspace,
     obs: &mut O,
 ) -> Match4Output {
-    assert!(i >= 1, "partition rounds i must be at least 1");
+    debug_assert!(i >= 1, "Runner rejects levels == 0");
     let n = list.len();
     if n < 2 {
         return Match4Output {
@@ -146,7 +108,7 @@ pub fn match4_obs<O: Observer>(
     let next_cyc: &[NodeId] = next_cyc;
     obs.enter("match4");
     obs.counter("n", n as u64);
-    let bound = relabel_rounds_obs(
+    let bound = relabel_rounds(
         &|u: NodeId| next_cyc[u as usize],
         labels_a,
         labels_b,
@@ -233,13 +195,14 @@ pub fn match4_obs<O: Observer>(
     }
     let pred: &[NodeId] = pred;
     let colors: &[AtomicU8] = colors;
-    let r1 = walkdown1_obs(list, grid, pred, colors, obs);
-    let r2 = walkdown2_obs(list, grid, pred, colors, walk_state, obs);
-    #[cfg(debug_assertions)]
-    {
-        let plain: Vec<u8> = colors.iter().map(|a| a.load(Ordering::Relaxed)).collect();
-        debug_assert!(crate::verify::coloring_is_proper(list, &plain, 3));
-    }
+    let r1 = walkdown1(list, grid, pred, colors, obs);
+    let r2 = walkdown2(list, grid, pred, colors, walk_state, obs);
+    // Lemmas 6–7: together the walks 3-color every pointer properly.
+    debug_assert!(crate::verify::coloring_is_proper_by(
+        list,
+        |v| colors[v].load(Ordering::Relaxed),
+        3
+    ));
 
     // Step 5: the 3 color classes are matching sets; sweep them greedily.
     sets.par_chunks_mut(CHUNK)
@@ -255,7 +218,7 @@ pub fn match4_obs<O: Observer>(
                 };
             }
         });
-    let matching = greedy_core_obs(
+    let matching = greedy_core(
         list,
         sets,
         3,
@@ -343,11 +306,19 @@ pub fn match4_from_partition(list: &LinkedList, ps: &PointerSets) -> Match4Outpu
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::obs::NoopObserver;
     use crate::verify;
     use parmatch_list::{blocked_list, random_list, reversed_list, sequential_list};
+
+    fn match4_with(list: &LinkedList, i: u32, variant: CoinVariant) -> Match4Output {
+        run(list, i, variant, &mut Workspace::new(), &mut NoopObserver)
+    }
+
+    fn match4(list: &LinkedList, i: u32) -> Match4Output {
+        match4_with(list, i, CoinVariant::Msb)
+    }
 
     #[test]
     fn maximal_for_each_i() {

@@ -1,14 +1,12 @@
 //! Zero-overhead-when-disabled instrumentation with paper-bound auditing.
 //!
-//! Every matcher entry point has an `*_obs` twin taking a generic
-//! [`Observer`]. The default [`NoopObserver`] has
-//! [`Observer::ENABLED`]` = false` and empty `#[inline(always)]`
-//! methods, so every instrumentation site — including the
-//! `if O::ENABLED` guards around per-round label materialisation —
-//! compiles away and the `*_in` steady-state paths stay exactly the
-//! allocation-free pipelines of the parallel-native work: no branch, no
-//! byte, no bit of output changes (the differential suites enforce the
-//! latter).
+//! Every matcher body is generic over an [`Observer`], attached through
+//! [`Runner::observer`](crate::Runner::observer). The default
+//! [`NoopObserver`] has [`Observer::ENABLED`]` = false` and empty
+//! `#[inline(always)]` methods, so every instrumentation site —
+//! including the `if O::ENABLED` guards around per-round censuses —
+//! compiles away: no branch, no byte, no bit of output changes (the
+//! differential suites enforce the latter).
 //!
 //! An enabled observer such as [`Recorder`] receives a *span tree* of
 //! algorithm phases (`relabel` → per-`round` children, `finish`,
@@ -27,19 +25,19 @@
 //! trace into the same span vocabulary so native and simulated runs are
 //! audited side by side.
 
-/// Sink for instrumentation events emitted by the `*_obs` matchers.
+/// Sink for instrumentation events emitted by the matchers.
 ///
 /// Implementations fall in two classes: [`NoopObserver`]
 /// (`ENABLED = false`, everything compiles out) and real recorders
-/// (`ENABLED = true`), for which the matchers additionally materialise
-/// per-round data they would otherwise fuse away. Enabled observers
+/// (`ENABLED = true`), for which the matchers additionally compute
+/// per-round censuses and span counters. Enabled observers
 /// must never influence outputs — the matchers only *read* state when
 /// feeding one.
 pub trait Observer {
     /// Whether instrumentation sites should do work at all. Matchers
     /// guard every observation — and any extra bookkeeping needed to
-    /// produce one — behind `if Self::ENABLED`, so a `false` here makes
-    /// the `*_obs` twin compile to the plain `*_in` body.
+    /// produce one — behind `if Self::ENABLED`, so a `false` here
+    /// compiles every site away.
     const ENABLED: bool;
 
     /// Open a child span named `label` under the current span.
@@ -57,8 +55,8 @@ pub trait Observer {
 }
 
 /// The do-nothing observer: `ENABLED = false`, every method an empty
-/// `#[inline(always)]` body. Passing `&mut NoopObserver` is how the
-/// plain `*_in` entry points call their `*_obs` twins at zero cost.
+/// `#[inline(always)]` body — what [`Runner`](crate::Runner) passes
+/// when no observer is attached.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopObserver;
 
@@ -112,7 +110,7 @@ impl Span {
 }
 
 /// An enabled [`Observer`] that records the span tree for later
-/// auditing and rendering. Create one, pass it to an `*_obs` matcher,
+/// auditing and rendering. Create one, pass it to [`Runner::observer`](crate::Runner::observer),
 /// then call [`Recorder::finish`].
 #[derive(Debug, Default)]
 pub struct Recorder {
@@ -420,7 +418,7 @@ pub fn record_pram_trace<O: Observer>(
     obs.exit();
 }
 
-/// Bytes moved by `rounds` unfused relabel rounds over `n` nodes: each
+/// Bytes moved by `rounds` relabel rounds over `n` nodes: each
 /// round reads the current labels (8n), gathers successor labels (8n),
 /// reads the successor pointers (4n), and writes the new labels (8n).
 pub(crate) fn relabel_bytes(n: usize, rounds: u32) -> u64 {

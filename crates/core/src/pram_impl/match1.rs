@@ -101,7 +101,6 @@ pub fn match1_pram(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // pins the legacy names the Runner facade must stay bit-identical to
 mod tests {
     use super::*;
     use crate::verify;
@@ -121,9 +120,9 @@ mod tests {
     fn matches_native_result_quality() {
         let list = random_list(1500, 7);
         let pram = match1_pram(&list, 64, CoinVariant::Msb, ExecMode::Checked).unwrap();
-        let native = crate::match1(&list, CoinVariant::Msb);
+        let native = crate::Runner::new(crate::Algorithm::Match1).run(&list);
         // Identical algorithms ⇒ identical matchings.
-        assert_eq!(pram.matching, native.matching);
+        assert_eq!(&pram.matching, native.matching());
     }
 
     #[test]

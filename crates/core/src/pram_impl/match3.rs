@@ -218,7 +218,6 @@ pub fn match3_pram(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // pins the legacy names the Runner facade must stay bit-identical to
 mod tests {
     use super::*;
     use crate::verify;
@@ -241,7 +240,10 @@ mod tests {
         // identical matchings.
         let list = random_list(900, 5);
         let cfg = Match3Config::default();
-        let native = crate::match3(&list, cfg).unwrap();
+        let native = crate::Runner::new(crate::Algorithm::Match3)
+            .config(cfg)
+            .run(&list);
+        let native = native.as_match3().expect("Match3 outcome");
         let pram = match3_pram(&list, 32, cfg, ExecMode::Checked).unwrap();
         assert_eq!(pram.matching, native.matching);
         assert_eq!(pram.jump_rounds, native.jump_rounds);

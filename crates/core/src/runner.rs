@@ -1,15 +1,13 @@
 //! The unified entry point: one [`Runner`] builder over all four
 //! matchers.
 //!
-//! The native pipeline grew a 4 × 3 matrix of entry points — `matchN`,
-//! `matchN_in` (workspace-backed), `matchN_obs` (instrumented) — that
-//! every new layer would multiply again. [`Runner`] collapses the
-//! matrix: pick an [`Algorithm`], chain the knobs you need, call
-//! [`Runner::run`] (or [`Runner::try_run`] for the fallible Match3).
-//! Every combination is a thin delegation to the corresponding
-//! `matchN_obs` body, so outputs are **bit-identical** to the legacy
-//! names at every thread count — the legacy entry points remain
-//! exported (deprecated) and the differential suites pin the identity.
+//! [`Runner`] is the only public way to run a matcher: pick an
+//! [`Algorithm`], chain the knobs you need, call [`Runner::run`] (or
+//! [`Runner::try_run`] to get rejected knobs and Match3's table budget
+//! back as a [`RunnerError`]). Every combination funnels into one
+//! observer-generic body per algorithm, so a reused [`Workspace`], a
+//! private thread pool or an attached [`Observer`] never changes an
+//! output bit.
 //!
 //! ```
 //! use parmatch_core::prelude::*;
@@ -174,10 +172,18 @@ impl MatchOutcome {
     }
 }
 
-/// A [`Runner`] run failed. Today only Match3 can fail (its lookup
-/// table has a size budget); the other algorithms always succeed.
+/// A [`Runner`] run failed: a knob the algorithm cannot run with, or
+/// Match3's table stage (its lookup table has a size budget).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunnerError {
+    /// A knob that must be at least 1 was 0: [`Runner::rounds`] for
+    /// Match2 or [`Runner::levels`] for Match4.
+    ZeroKnob {
+        /// The algorithm that was asked to run.
+        algorithm: Algorithm,
+        /// The knob's name (`"rounds"` or `"levels"`).
+        knob: &'static str,
+    },
     /// The Match3 table stage failed.
     Match3(Match3Error),
 }
@@ -185,6 +191,9 @@ pub enum RunnerError {
 impl std::fmt::Display for RunnerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            RunnerError::ZeroKnob { algorithm, knob } => {
+                write!(f, "{algorithm}: {knob} must be ≥ 1")
+            }
             RunnerError::Match3(e) => write!(f, "match3: {e}"),
         }
     }
@@ -193,6 +202,7 @@ impl std::fmt::Display for RunnerError {
 impl std::error::Error for RunnerError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            RunnerError::ZeroKnob { .. } => None,
             RunnerError::Match3(e) => Some(e),
         }
     }
@@ -212,8 +222,8 @@ impl From<Match3Error> for RunnerError {
 /// [`rounds`](Runner::rounds) only drives Match2). Without
 /// [`workspace`](Runner::workspace) a fresh arena is used — bit-identical
 /// to a reused one. Without [`observer`](Runner::observer) the
-/// [`NoopObserver`] monomorphisation runs: the allocation-free
-/// steady-state pipeline with every instrumentation site compiled away.
+/// [`NoopObserver`] monomorphisation runs, with every instrumentation
+/// site compiled away.
 #[derive(Debug)]
 pub struct Runner<'w, 'o, O: Observer = NoopObserver> {
     algorithm: Algorithm,
@@ -254,13 +264,15 @@ impl<'w, 'o, O: Observer> Runner<'w, 'o, O> {
         self
     }
 
-    /// Relabel rounds for Match2 (default 2; must be ≥ 1).
+    /// Relabel rounds for Match2 (default 2; `0` is rejected with
+    /// [`RunnerError::ZeroKnob`]).
     pub fn rounds(mut self, rounds: u32) -> Self {
         self.rounds = rounds;
         self
     }
 
-    /// Partition levels `i` for Match4 (default 2; must be ≥ 1).
+    /// Partition levels `i` for Match4 (default 2; `0` is rejected with
+    /// [`RunnerError::ZeroKnob`]).
     pub fn levels(mut self, levels: u32) -> Self {
         self.levels = levels;
         self
@@ -281,8 +293,8 @@ impl<'w, 'o, O: Observer> Runner<'w, 'o, O> {
         self
     }
 
-    /// Reuse `ws` for every buffer — the zero-allocation steady state of
-    /// the `*_in` pipeline.
+    /// Reuse `ws` for every per-node buffer, so a rerun on a list of the
+    /// same size allocates no per-node scratch.
     pub fn workspace(self, ws: &mut Workspace) -> Runner<'_, 'o, O> {
         Runner {
             workspace: Some(ws),
@@ -306,15 +318,13 @@ impl<'w, 'o, O: Observer> Runner<'w, 'o, O> {
         }
     }
 
-    /// Execute, panicking on failure (only Match3 can fail — use
-    /// [`try_run`](Runner::try_run) when driving it with a tight table
-    /// budget).
+    /// Execute, panicking on failure (use [`try_run`](Runner::try_run)
+    /// for knobs that come from untrusted input, or to drive Match3 with
+    /// a tight table budget).
     ///
     /// # Panics
     ///
-    /// Panics if the run returns an error, or on the algorithms' own
-    /// contract violations (`rounds == 0` for Match2, `levels == 0` for
-    /// Match4).
+    /// Panics if [`try_run`](Runner::try_run) returns an error.
     pub fn run(self, list: &LinkedList) -> MatchOutcome {
         match self.try_run(list) {
             Ok(out) => out,
@@ -322,8 +332,21 @@ impl<'w, 'o, O: Observer> Runner<'w, 'o, O> {
         }
     }
 
-    /// Execute, returning the algorithm's error instead of panicking.
+    /// Execute, returning a [`RunnerError`] instead of panicking:
+    /// `rounds == 0` for Match2 and `levels == 0` for Match4 are
+    /// rejected before any work, and Match3 reports its table errors.
     pub fn try_run(mut self, list: &LinkedList) -> Result<MatchOutcome, RunnerError> {
+        let zero = match self.algorithm {
+            Algorithm::Match2 if self.rounds == 0 => Some("rounds"),
+            Algorithm::Match4 if self.levels == 0 => Some("levels"),
+            _ => None,
+        };
+        if let Some(knob) = zero {
+            return Err(RunnerError::ZeroKnob {
+                algorithm: self.algorithm,
+                knob,
+            });
+        }
         match self.threads.take() {
             Some(t) => {
                 let pool = rayon::ThreadPoolBuilder::new()
@@ -372,9 +395,8 @@ impl<'w, 'o, O: Observer> Runner<'w, 'o, O> {
 }
 
 /// The single delegation site: every `Runner` combination funnels here,
-/// into the `matchN_obs` bodies the legacy names also wrap — which is
-/// what makes the facade bit-identical to them by construction.
-#[allow(deprecated, clippy::too_many_arguments)]
+/// into the one observer-generic body of each algorithm.
+#[allow(clippy::too_many_arguments)]
 fn dispatch<O: Observer>(
     algorithm: Algorithm,
     variant: CoinVariant,
@@ -386,63 +408,67 @@ fn dispatch<O: Observer>(
     obs: &mut O,
 ) -> Result<MatchOutcome, RunnerError> {
     Ok(match algorithm {
-        Algorithm::Match1 => {
-            MatchOutcome::Match1(crate::match1::match1_obs(list, variant, ws, obs))
-        }
+        Algorithm::Match1 => MatchOutcome::Match1(crate::match1::run(list, variant, ws, obs)),
         Algorithm::Match2 => {
-            MatchOutcome::Match2(crate::match2::match2_obs(list, rounds, variant, ws, obs))
+            MatchOutcome::Match2(crate::match2::run(list, rounds, variant, ws, obs))
         }
-        Algorithm::Match3 => {
-            MatchOutcome::Match3(crate::match3::match3_obs(list, config, ws, obs)?)
-        }
+        Algorithm::Match3 => MatchOutcome::Match3(crate::match3::run(list, config, ws, obs)?),
         Algorithm::Match4 => {
-            MatchOutcome::Match4(crate::match4::match4_obs(list, levels, variant, ws, obs))
+            MatchOutcome::Match4(crate::match4::run(list, levels, variant, ws, obs))
         }
     })
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::finish::{from_labels, greedy_by_sets};
+    use crate::labels::LabelSeq;
+    use crate::match4::match4_from_partition;
     use crate::obs::Recorder;
+    use crate::partition::PointerSets;
+    use crate::pram_impl::match3_pram;
     use crate::verify;
     use parmatch_list::{random_list, sequential_list};
+    use parmatch_pram::ExecMode;
+
+    /// `rounds` chained reference [`LabelSeq::relabel`] calls.
+    fn chained(list: &LinkedList, variant: CoinVariant, rounds: u32) -> LabelSeq {
+        (0..rounds).fold(LabelSeq::initial(list, variant), |l, _| l.relabel(list))
+    }
 
     #[test]
-    fn facade_is_bit_identical_to_legacy_names() {
+    fn facade_is_bit_identical_to_reference_oracles() {
         let list = random_list(5000, 11);
         for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
             let r1 = Runner::new(Algorithm::Match1).variant(variant).run(&list);
-            assert_eq!(
-                r1.matching(),
-                &crate::match1::match1(&list, variant).matching
-            );
+            let mut converged = LabelSeq::initial(&list, variant);
+            while !converged.converged() {
+                converged = converged.relabel(&list);
+            }
+            assert_eq!(r1.matching(), &from_labels(&list, converged.labels()));
+
             let r2 = Runner::new(Algorithm::Match2)
                 .variant(variant)
                 .rounds(3)
                 .run(&list);
-            assert_eq!(
-                r2.matching(),
-                &crate::match2::match2(&list, 3, variant).matching
-            );
+            let ps = PointerSets::from_labels(&list, &chained(&list, variant, 3));
+            assert_eq!(r2.matching(), &greedy_by_sets(&list, &ps, None));
+
             let cfg = Match3Config {
                 variant,
                 ..Match3Config::default()
             };
             let r3 = Runner::new(Algorithm::Match3).config(cfg).run(&list);
-            assert_eq!(
-                r3.matching(),
-                &crate::match3::match3(&list, cfg).unwrap().matching
-            );
+            let pram = match3_pram(&list, 64, cfg, ExecMode::Fast).unwrap();
+            assert_eq!(r3.matching(), &pram.matching);
+
             let r4 = Runner::new(Algorithm::Match4)
                 .variant(variant)
                 .levels(2)
                 .run(&list);
-            assert_eq!(
-                r4.matching(),
-                &crate::match4::match4_with(&list, 2, variant).matching
-            );
+            let ps = PointerSets::from_labels(&list, &chained(&list, variant, 2));
+            assert_eq!(r4.matching(), &match4_from_partition(&list, &ps).matching);
         }
     }
 
@@ -496,6 +522,35 @@ mod tests {
         assert!(matches!(err, RunnerError::Match3(_)));
         assert!(err.to_string().contains("match3"));
         assert!(std::error::Error::source(&err).is_some());
+    }
+
+    #[test]
+    fn try_run_rejects_zero_rounds_and_levels() {
+        let list = random_list(100, 2);
+        let err = Runner::new(Algorithm::Match2)
+            .rounds(0)
+            .try_run(&list)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RunnerError::ZeroKnob {
+                algorithm: Algorithm::Match2,
+                knob: "rounds"
+            }
+        );
+        assert_eq!(err.to_string(), "match2: rounds must be ≥ 1");
+        assert!(std::error::Error::source(&err).is_none());
+        let err = Runner::new(Algorithm::Match4)
+            .levels(0)
+            .threads(2)
+            .try_run(&list)
+            .unwrap_err();
+        assert_eq!(err.to_string(), "match4: levels must be ≥ 1");
+        // knobs an algorithm ignores are not validated for it
+        for algo in [Algorithm::Match1, Algorithm::Match3] {
+            let out = Runner::new(algo).rounds(0).levels(0).try_run(&list);
+            assert!(out.is_ok(), "{algo}");
+        }
     }
 
     #[test]

@@ -74,18 +74,28 @@ pub fn partition_is_valid(list: &LinkedList, ps: &PointerSets) -> bool {
 /// adjacent pointers differ.
 pub fn coloring_is_proper(list: &LinkedList, colors: &[u8], palette: u8) -> bool {
     assert_eq!(colors.len(), list.len(), "color array length mismatch");
+    coloring_is_proper_by(list, |v| colors[v], palette)
+}
+
+/// [`coloring_is_proper`] reading the color of pointer `<v, suc v>`
+/// through `color(v)`, so colors held in atomics are checked in place.
+pub(crate) fn coloring_is_proper_by(
+    list: &LinkedList,
+    color: impl Fn(usize) -> u8 + Send + Sync,
+    palette: u8,
+) -> bool {
     (0..list.len() as NodeId).into_par_iter().all(|v| {
         let head = list.next_raw(v);
         if head == NIL {
             return true;
         }
-        let c = colors[v as usize];
+        let c = color(v as usize);
         if c >= palette {
             return false;
         }
         match list.next_raw(head) {
             NIL => true,
-            _ => colors[head as usize] != c,
+            _ => color(head as usize) != c,
         }
     })
 }

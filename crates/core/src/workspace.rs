@@ -1,11 +1,22 @@
 //! A reusable buffer arena for the native match pipeline.
 //!
-//! Every native driver has a `*_in` variant taking a `&mut Workspace`;
-//! after the first call on a given list size, subsequent calls run
-//! **zero-allocation steady-state** — every per-node array (labels,
+//! Pass one to [`Runner::workspace`](crate::Runner::workspace) (or to
+//! [`match1_batch_in`](crate::match1_batch_in)). After the first call on
+//! a given list size, every per-node array (labels,
 //! successor/predecessor caches, cut masks, walkdown colors, greedy
 //! buckets, grid storage) lives here and is resized (a no-op when the
-//! size is unchanged) and refilled in parallel.
+//! size is unchanged) and refilled in parallel, so a rerun allocates no
+//! per-node scratch.
+//!
+//! A rerun is not allocation-free. It allocates its outputs, and the
+//! rayon shim adds bookkeeping bounded by the thread count: a few small
+//! allocations per part of each parallel pass, and a second copy of
+//! every output built by its ordered `collect` (per-part vectors, then
+//! their concatenation). A `Runner` run therefore allocates about twice
+//! its returned `Matching` (plus twice the `PointerSets` for Match2);
+//! a fused batch writes its masks in place and allocates them once. The
+//! counting-allocator test `tests/alloc_steady_state.rs` asserts that
+//! the bytes beyond those copies do not grow with `n`.
 //!
 //! The crate forbids `unsafe`, so buffers that are written by parallel
 //! *scatters* (predecessor inversion, walk marks, bucket placement) are
@@ -27,7 +38,7 @@ use crate::CoinVariant;
 /// in L1/L2.
 pub(crate) const CHUNK: usize = 1 << 13;
 
-/// Reusable buffers for the native `match1`–`match4` drivers.
+/// Reusable buffers for the native Match1–Match4 pipelines.
 ///
 /// # Examples
 ///

@@ -1,7 +1,8 @@
 //! Bound-audit suite: every counter the observability layer records
 //! with a paper bound must satisfy it, across a log-spaced size grid
 //! and all four matchers — and the audited runs must be bit-identical
-//! to the plain `*_in` pipelines.
+//! to plain [`Runner`] runs and to the reference oracles (see
+//! `oracle/mod.rs`).
 //!
 //! The paper claims audited here:
 //!
@@ -17,20 +18,21 @@
 //!   constant `c`, asserted per matcher below and recorded as
 //!   `work_per_node_x100`.
 
-// These differential suites deliberately pin the deprecated legacy entry
-// points: they are the ground truth the Runner facade must stay
-// bit-identical to.
-#![allow(deprecated)]
+mod oracle;
 
 use parmatch_bits::{g_of, ilog2_ceil, log_star};
-use parmatch_core::{
-    match1_in, match1_obs, match2_in, match2_obs, match3_in, match3_obs, match4_in, match4_obs,
-    CoinVariant, Match3Config, Recorder, Recording, Workspace,
-};
-use parmatch_list::random_list;
+use parmatch_core::prelude::*;
+use parmatch_list::{random_list, LinkedList};
 
 /// Log-spaced size grid (powers of 4).
 const GRID: [u64; 7] = [16, 64, 256, 1024, 4096, 16384, 65536];
+
+/// One Runner run with a [`Recorder`] attached.
+fn audited(runner: Runner, list: &LinkedList, ws: &mut Workspace) -> (MatchOutcome, Recording) {
+    let mut r = Recorder::new();
+    let out = runner.workspace(ws).observer(&mut r).run(list);
+    (out, r.finish())
+}
 
 fn assert_all_pass(rec: &Recording, what: &str) {
     for a in rec.audits() {
@@ -47,9 +49,8 @@ fn match1_bounds_hold_on_grid() {
     let mut ws = Workspace::new();
     for &n in &GRID {
         let list = random_list(n as usize, n ^ 7);
-        let mut r = Recorder::new();
-        let out = match1_obs(&list, CoinVariant::Msb, &mut ws, &mut r);
-        let rec = r.finish();
+        let (out, rec) = audited(Runner::new(Algorithm::Match1), &list, &mut ws);
+        let out = out.as_match1().unwrap().clone();
         assert_all_pass(&rec, "match1");
 
         // Lemma 1: the first census is audited against exactly 2⌈log₂ n⌉.
@@ -79,9 +80,8 @@ fn match2_bounds_hold_on_grid() {
     let mut ws = Workspace::new();
     for &n in &GRID {
         let list = random_list(n as usize, n ^ 21);
-        let mut r = Recorder::new();
-        let out = match2_obs(&list, 2, CoinVariant::Msb, &mut ws, &mut r);
-        let rec = r.finish();
+        let (out, rec) = audited(Runner::new(Algorithm::Match2), &list, &mut ws);
+        let out = out.as_match2().unwrap().clone();
         assert_all_pass(&rec, "match2");
         let census = rec
             .audits()
@@ -100,10 +100,8 @@ fn match3_bounds_hold_on_grid() {
     let mut ws = Workspace::new();
     for &n in &GRID {
         let list = random_list(n as usize, n ^ 5);
-        let mut r = Recorder::new();
-        let out = match3_obs(&list, Match3Config::default(), &mut ws, &mut r)
-            .expect("default config fits");
-        let rec = r.finish();
+        let (out, rec) = audited(Runner::new(Algorithm::Match3), &list, &mut ws);
+        let out = out.as_match3().unwrap().clone();
         assert_all_pass(&rec, "match3");
         assert!(out.jump_rounds >= 1);
         let wu = rec.find("work_units").expect("work recorded");
@@ -116,9 +114,8 @@ fn match4_bounds_hold_on_grid() {
     let mut ws = Workspace::new();
     for &n in &GRID {
         let list = random_list(n as usize, n ^ 13);
-        let mut r = Recorder::new();
-        let out = match4_obs(&list, 2, CoinVariant::Msb, &mut ws, &mut r);
-        let rec = r.finish();
+        let (out, rec) = audited(Runner::new(Algorithm::Match4), &list, &mut ws);
+        let out = out.as_match4().unwrap().clone();
         assert_all_pass(&rec, "match4");
 
         // Lemmas 6–7: the walk rounds audit is present and tight.
@@ -137,39 +134,40 @@ fn match4_bounds_hold_on_grid() {
 #[test]
 fn audited_runs_are_bit_identical_to_plain() {
     // Enabling a real observer must not change one output bit relative
-    // to the uninstrumented pipelines (which themselves are the NoopObserver
-    // path of the same code).
+    // to the uninstrumented NoopObserver runs of the same bodies, and
+    // both must equal the reference oracles.
     let mut ws_a = Workspace::new();
     let mut ws_b = Workspace::new();
     for &n in &[97u64, 1024, 6000] {
         let list = random_list(n as usize, n);
         for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
-            let plain = match1_in(&list, variant, &mut ws_a);
-            let mut r = Recorder::new();
-            let obs = match1_obs(&list, variant, &mut ws_b, &mut r);
-            assert_eq!(plain.matching, obs.matching, "match1 n={n}");
-            assert_eq!(plain.final_bound, obs.final_bound);
-
-            let plain = match2_in(&list, 2, variant, &mut ws_a);
-            let mut r = Recorder::new();
-            let obs = match2_obs(&list, 2, variant, &mut ws_b, &mut r);
-            assert_eq!(plain.matching, obs.matching, "match2 n={n}");
-
-            let cfg = Match3Config {
-                variant,
-                ..Match3Config::default()
-            };
-            let plain = match3_in(&list, cfg, &mut ws_a).unwrap();
-            let mut r = Recorder::new();
-            let obs = match3_obs(&list, cfg, &mut ws_b, &mut r).unwrap();
-            assert_eq!(plain.matching, obs.matching, "match3 n={n}");
-
-            let plain = match4_in(&list, 2, variant, &mut ws_a);
-            let mut r = Recorder::new();
-            let obs = match4_obs(&list, 2, variant, &mut ws_b, &mut r);
-            assert_eq!(plain.matching, obs.matching, "match4 n={n}");
-            assert_eq!(plain.distinct_sets, obs.distinct_sets);
-            assert_eq!(plain.walk_rounds, obs.walk_rounds);
+            for algo in Algorithm::ALL {
+                let runner = || Runner::new(algo).variant(variant);
+                let plain = runner().workspace(&mut ws_a).run(&list);
+                let (obs, _) = audited(runner(), &list, &mut ws_b);
+                assert_eq!(plain.matching(), obs.matching(), "{algo} n={n}");
+                match (&plain, &obs) {
+                    (MatchOutcome::Match1(a), MatchOutcome::Match1(b)) => {
+                        assert_eq!(a.final_bound, b.final_bound);
+                    }
+                    (MatchOutcome::Match4(a), MatchOutcome::Match4(b)) => {
+                        assert_eq!(a.distinct_sets, b.distinct_sets);
+                        assert_eq!(a.walk_rounds, b.walk_rounds);
+                    }
+                    _ => {}
+                }
+                let cfg = Match3Config {
+                    variant,
+                    ..Match3Config::default()
+                };
+                let want = match algo {
+                    Algorithm::Match1 => oracle::match1(&list, variant).matching,
+                    Algorithm::Match2 => oracle::match2(&list, 2, variant),
+                    Algorithm::Match3 => oracle::match3(&list, cfg),
+                    Algorithm::Match4 => oracle::match4(&list, 2, variant).matching,
+                };
+                assert_eq!(obs.matching(), &want, "{algo} n={n} vs oracle");
+            }
         }
     }
 }
@@ -178,9 +176,9 @@ fn audited_runs_are_bit_identical_to_plain() {
 fn recordings_are_deterministic_across_runs() {
     let list = random_list(3000, 42);
     let render = |ws: &mut Workspace| {
-        let mut r = Recorder::new();
-        match4_obs(&list, 2, CoinVariant::Msb, ws, &mut r);
-        r.finish().render()
+        audited(Runner::new(Algorithm::Match4), &list, ws)
+            .1
+            .render()
     };
     let mut ws = Workspace::new();
     let a = render(&mut ws);

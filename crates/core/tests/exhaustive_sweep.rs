@@ -1,23 +1,23 @@
 //! Exhaustive small-instance sweep: every permutation layout of up to
 //! 7 nodes (5,912 lists) through the dense-step-ported PRAM matchers,
-//! asserting **bit-identity** with their rayon-native twins — not just
-//! maximality. The seed suite's exhaustive test stops at ≤ 6 nodes and
-//! only checks maximality; identity on every tiny instance is what
-//! pins the PRAM ports to the native tie-breaking exactly.
+//! asserting **bit-identity** with the native [`Runner`] runs and the
+//! reference oracles (see `oracle/mod.rs`) — not just maximality. The
+//! seed suite's exhaustive test stops at ≤ 6 nodes and only checks
+//! maximality; identity on every tiny instance is what pins the PRAM
+//! ports to the native tie-breaking exactly.
 //!
 //! Also sweeps WalkDown2's schedule over every sorted key column of
 //! height ≤ 6, checking the Lemma 7 invariant (`marked[r] = A[r] + r`)
 //! and the 2x−2 last-step bound exhaustively rather than on spot
 //! columns.
+//!
+//! [`Runner`]: parmatch_core::Runner
 
-// These differential suites deliberately pin the deprecated legacy entry
-// points: they are the ground truth the Runner facade must stay
-// bit-identical to.
-#![allow(deprecated)]
+mod oracle;
 
 use parmatch_core::pram_impl::{match2_pram, match3_pram, match4_pram};
+use parmatch_core::prelude::*;
 use parmatch_core::walkdown::walkdown2_schedule;
-use parmatch_core::{match2, match3, match4_with, verify, CoinVariant, Match3Config};
 use parmatch_list::{LinkedList, NodeId};
 use parmatch_pram::ExecMode;
 
@@ -48,21 +48,35 @@ fn every_list_up_to_7_nodes_pram_equals_native() {
         for perm in permutations(n) {
             let list = LinkedList::from_order(&perm);
 
-            let native2 = match2(&list, 2, CoinVariant::Msb);
+            let native2 = Runner::new(Algorithm::Match2).run(&list).into_matching();
             let pram2 = match2_pram(&list, n, 2, CoinVariant::Msb, ExecMode::Checked)
                 .unwrap_or_else(|e| panic!("match2 {perm:?}: {e}"));
-            assert_eq!(pram2.matching, native2.matching, "match2 on {perm:?}");
+            assert_eq!(pram2.matching, native2, "match2 on {perm:?}");
+            assert_eq!(
+                oracle::match2(&list, 2, CoinVariant::Msb),
+                native2,
+                "match2 oracle on {perm:?}"
+            );
             verify::assert_maximal_matching(&list, &pram2.matching);
 
-            let native3 = match3(&list, lean).unwrap_or_else(|e| panic!("match3 {perm:?}: {e}"));
+            let native3 = Runner::new(Algorithm::Match3)
+                .config(lean)
+                .try_run(&list)
+                .unwrap_or_else(|e| panic!("match3 {perm:?}: {e}"))
+                .into_matching();
             let pram3 = match3_pram(&list, 2, lean, ExecMode::Checked)
                 .unwrap_or_else(|e| panic!("match3_pram {perm:?}: {e}"));
-            assert_eq!(pram3.matching, native3.matching, "match3 on {perm:?}");
+            assert_eq!(pram3.matching, native3, "match3 on {perm:?}");
 
-            let native4 = match4_with(&list, 2, CoinVariant::Msb);
+            let native4 = Runner::new(Algorithm::Match4).run(&list).into_matching();
             let pram4 = match4_pram(&list, 2, None, CoinVariant::Msb, ExecMode::Checked)
                 .unwrap_or_else(|e| panic!("match4 {perm:?}: {e}"));
-            assert_eq!(pram4.matching, native4.matching, "match4 on {perm:?}");
+            assert_eq!(pram4.matching, native4, "match4 on {perm:?}");
+            assert_eq!(
+                oracle::match4(&list, 2, CoinVariant::Msb).matching,
+                native4,
+                "match4 oracle on {perm:?}"
+            );
 
             checked += 1;
         }

@@ -24,20 +24,17 @@
 //!   relation is stated for aligned shifts; `shift_breaks_alignment`
 //!   pins a counterexample so nobody "generalizes" this later.)
 //!
-//! Every relation is checked through both the fresh entry points and
-//! the workspace-backed `*_in` twins.
+//! Every relation is checked on [`Runner`] outputs, each pinned to the
+//! reference oracle of its algorithm (see `oracle/mod.rs`).
+//!
+//! [`Runner`]: parmatch_core::Runner
 
-// These differential suites deliberately pin the deprecated legacy entry
-// points: they are the ground truth the Runner facade must stay
-// bit-identical to.
-#![allow(deprecated)]
+mod oracle;
 
 use parmatch_bits::BitReversalTable;
 use parmatch_core::finish::from_labels;
-use parmatch_core::{
-    f_pair, match1, match1_in, match2, match2_in, match3, match3_in, match4_in, match4_with,
-    verify, CoinVariant, LabelSeq, Match3Config, Matching, Workspace,
-};
+use parmatch_core::prelude::*;
+use parmatch_core::{f_pair, LabelSeq};
 use parmatch_list::{random_list, LinkedList, NodeId, NIL};
 use proptest::prelude::*;
 
@@ -92,35 +89,41 @@ fn shuffle(n: usize, seed: u64) -> Vec<NodeId> {
     p
 }
 
-/// All four matchers on `list`, through fresh and `*_in` paths (asserted
-/// identical), as a labeled vec.
+/// All four matchers on `list` through one reused workspace, each
+/// asserted identical to its reference oracle, as a labeled vec.
 fn all_matchings(list: &LinkedList) -> Vec<(&'static str, Matching)> {
     let mut ws = Workspace::new();
     let cfg = Match3Config {
         jump_rounds: Some(1),
         ..Match3Config::default()
     };
-    let m1 = match1(list, CoinVariant::Msb).matching;
-    assert_eq!(m1, match1_in(list, CoinVariant::Msb, &mut ws).matching);
-    let m2 = match2(list, 2, CoinVariant::Msb).matching;
-    assert_eq!(m2, match2_in(list, 2, CoinVariant::Msb, &mut ws).matching);
-    let m3 = match3(list, cfg).unwrap().matching;
-    assert_eq!(m3, match3_in(list, cfg, &mut ws).unwrap().matching);
-    let m4 = match4_with(list, 2, CoinVariant::Msb).matching;
-    assert_eq!(m4, match4_in(list, 2, CoinVariant::Msb, &mut ws).matching);
-    vec![
-        ("match1", m1),
-        ("match2", m2),
-        ("match3", m3),
-        ("match4", m4),
-    ]
+    let v = CoinVariant::Msb;
+    let want = [
+        oracle::match1(list, v).matching,
+        oracle::match2(list, 2, v),
+        oracle::match3(list, cfg),
+        oracle::match4(list, 2, v).matching,
+    ];
+    Algorithm::ALL
+        .into_iter()
+        .zip(want)
+        .map(|(algo, want)| {
+            let m = Runner::new(algo)
+                .config(cfg)
+                .workspace(&mut ws)
+                .run(list)
+                .into_matching();
+            assert_eq!(m, want, "{algo} vs oracle");
+            (algo.name(), m)
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Reversal: matchings of the reversed list pull back to maximal
-    /// matchings of the original, for every matcher and both paths.
+    /// matchings of the original, for every matcher.
     #[test]
     fn matching_invariant_under_reversal(n in 2usize..400, seed in any::<u64>()) {
         let list = random_list(n, seed);
@@ -172,7 +175,7 @@ proptest! {
     /// Aligned constant shift: adding `c ≡ 0 (mod 2^k)` to all initial
     /// labels (addresses `< 2^k`) leaves every label array after
     /// `k ≥ 1` rounds bit-identical, hence the finisher output too —
-    /// through the fused `relabel_k` path (which is the `*_in` kernel).
+    /// through `relabel_k` (the matchers' relabel kernel).
     #[test]
     fn aligned_shift_is_exactly_invariant(
         n in 2usize..400,

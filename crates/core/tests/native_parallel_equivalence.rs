@@ -1,22 +1,18 @@
-//! Differential tests for the native parallel pipeline: the
-//! workspace-backed `*_in` drivers must be **bit-identical** to the
-//! reference composition paths at every thread count, and a reused
-//! [`Workspace`] must never leak state between runs.
+//! Differential tests for the native parallel pipeline: every
+//! [`Runner`] run — fresh workspace or reused — must be
+//! **bit-identical** to the reference oracles (see `oracle/mod.rs`) at
+//! every thread count, and a reused [`Workspace`] must never leak state
+//! between runs.
 //!
 //! Thread counts are driven through [`rayon::ThreadPoolBuilder`] — the
 //! shim's pool honors `install`, so each block below re-runs the whole
 //! pipeline on pools of 1, 2 and 8 workers and compares raw outputs.
 
-// These differential suites deliberately pin the deprecated legacy entry
-// points: they are the ground truth the Runner facade must stay
-// bit-identical to.
-#![allow(deprecated)]
+mod oracle;
 
 use parmatch_core::finish::from_labels;
-use parmatch_core::{
-    match1, match1_in, match2, match2_in, match3, match3_in, match4_in, match4_with, CoinVariant,
-    LabelSeq, Match3Config, Matching, Workspace,
-};
+use parmatch_core::prelude::*;
+use parmatch_core::{LabelSeq, Match4Output};
 use parmatch_list::{blocked_list, random_list, reversed_list, sequential_list, LinkedList};
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -41,137 +37,136 @@ fn layouts() -> Vec<LinkedList> {
     ]
 }
 
-/// match1 through one reused workspace equals the fresh-allocation
-/// public driver, across thread counts and layouts.
+/// Runner Match1, fresh and through one reused workspace, equals the
+/// reference oracle — matching, round count and final bound — at every
+/// thread count.
 #[test]
 fn match1_bit_identical_across_threads() {
     for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
-        let mut reference: Vec<Matching> = Vec::new();
-        for (t, &threads) in THREADS.iter().enumerate() {
-            let outs: Vec<Matching> = on_pool(threads, || {
+        let lists = layouts();
+        let expected: Vec<_> = lists.iter().map(|l| oracle::match1(l, variant)).collect();
+        for &threads in &THREADS {
+            on_pool(threads, || {
                 let mut ws = Workspace::new();
-                layouts()
-                    .iter()
-                    .map(|list| {
-                        let fresh = match1(list, variant);
-                        let reused = match1_in(list, variant, &mut ws);
-                        assert_eq!(fresh.matching, reused.matching, "ws reuse differs");
-                        assert_eq!(fresh.rounds, reused.rounds);
-                        assert_eq!(fresh.final_bound, reused.final_bound);
-                        reused.matching
-                    })
-                    .collect()
+                for (list, want) in lists.iter().zip(&expected) {
+                    let runner = || Runner::new(Algorithm::Match1).variant(variant);
+                    let fresh = runner().run(list);
+                    let reused = runner().workspace(&mut ws).run(list);
+                    let got = reused.as_match1().unwrap();
+                    assert_eq!(fresh.matching(), &got.matching, "ws reuse differs");
+                    assert_eq!(got.matching, want.matching, "threads={threads}");
+                    assert_eq!(got.rounds, want.rounds);
+                    assert_eq!(got.final_bound, want.final_bound);
+                }
             });
-            if t == 0 {
-                reference = outs;
-            } else {
-                assert_eq!(reference, outs, "thread count {threads} diverged");
-            }
         }
     }
 }
 
-/// match2 likewise, over several round counts.
+/// Match2 likewise, over several round counts.
 #[test]
 fn match2_bit_identical_across_threads() {
-    let mut reference: Vec<Matching> = Vec::new();
-    for (t, &threads) in THREADS.iter().enumerate() {
-        let outs: Vec<Matching> = on_pool(threads, || {
+    let lists = layouts();
+    let rounds = [1u32, 2, 3];
+    let expected: Vec<Vec<Matching>> = lists
+        .iter()
+        .map(|l| {
+            rounds
+                .iter()
+                .map(|&r| oracle::match2(l, r, CoinVariant::Msb))
+                .collect()
+        })
+        .collect();
+    for &threads in &THREADS {
+        on_pool(threads, || {
             let mut ws = Workspace::new();
-            let mut all = Vec::new();
-            for list in &layouts() {
-                for rounds in [1u32, 2, 3] {
-                    let fresh = match2(list, rounds, CoinVariant::Msb);
-                    let reused = match2_in(list, rounds, CoinVariant::Msb, &mut ws);
-                    assert_eq!(fresh.matching, reused.matching, "ws reuse differs");
-                    all.push(reused.matching);
+            for (list, want) in lists.iter().zip(&expected) {
+                for (&r, want) in rounds.iter().zip(want) {
+                    let runner = || Runner::new(Algorithm::Match2).rounds(r);
+                    let fresh = runner().run(list);
+                    let reused = runner().workspace(&mut ws).run(list);
+                    assert_eq!(fresh.matching(), reused.matching(), "ws reuse differs");
+                    assert_eq!(reused.matching(), want, "threads={threads} rounds={r}");
                 }
             }
-            all
         });
-        if t == 0 {
-            reference = outs;
-        } else {
-            assert_eq!(reference, outs, "thread count {threads} diverged");
-        }
     }
 }
 
-/// match3 likewise — the cached table must not change results when hit.
+/// Match3 likewise — the cached table must not change results when hit.
 #[test]
 fn match3_bit_identical_across_threads() {
     let cfg = Match3Config::default();
-    let mut reference: Vec<Matching> = Vec::new();
-    for (t, &threads) in THREADS.iter().enumerate() {
-        let outs: Vec<Matching> = on_pool(threads, || {
+    let lists = layouts();
+    let expected: Vec<Matching> = lists.iter().map(|l| oracle::match3(l, cfg)).collect();
+    for &threads in &THREADS {
+        on_pool(threads, || {
             let mut ws = Workspace::new();
-            layouts()
-                .iter()
-                .map(|list| {
-                    let fresh = match3(list, cfg).unwrap();
-                    // second call hits the table cache
-                    let reused = match3_in(list, cfg, &mut ws).unwrap();
-                    let cached = match3_in(list, cfg, &mut ws).unwrap();
-                    assert_eq!(fresh.matching, reused.matching, "ws reuse differs");
-                    assert_eq!(reused.matching, cached.matching, "table cache differs");
-                    assert_eq!(fresh.final_bound, reused.final_bound);
-                    reused.matching
-                })
-                .collect()
+            for (list, want) in lists.iter().zip(&expected) {
+                let runner = || Runner::new(Algorithm::Match3).config(cfg);
+                let fresh = runner().run(list);
+                // the second reused run hits the table cache
+                let reused = runner().workspace(&mut ws).run(list);
+                let cached = runner().workspace(&mut ws).run(list);
+                assert_eq!(fresh.matching(), reused.matching(), "ws reuse differs");
+                assert_eq!(reused.matching(), cached.matching(), "table cache differs");
+                assert_eq!(
+                    fresh.as_match3().unwrap().final_bound,
+                    reused.as_match3().unwrap().final_bound
+                );
+                assert_eq!(reused.matching(), want, "threads={threads}");
+            }
         });
-        if t == 0 {
-            reference = outs;
-        } else {
-            assert_eq!(reference, outs, "thread count {threads} diverged");
-        }
     }
 }
 
-/// match4 likewise, over i ∈ {1, 2, 3}; diagnostics must agree too.
+/// Match4 likewise, over i ∈ {1, 2, 3}; diagnostics must agree too.
 #[test]
 fn match4_bit_identical_across_threads() {
-    let mut reference: Vec<Matching> = Vec::new();
-    for (t, &threads) in THREADS.iter().enumerate() {
-        let outs: Vec<Matching> = on_pool(threads, || {
+    let lists = layouts();
+    let levels = [1u32, 2, 3];
+    let expected: Vec<Vec<Match4Output>> = lists
+        .iter()
+        .map(|l| {
+            levels
+                .iter()
+                .map(|&i| oracle::match4(l, i, CoinVariant::Msb))
+                .collect()
+        })
+        .collect();
+    for &threads in &THREADS {
+        on_pool(threads, || {
             let mut ws = Workspace::new();
-            let mut all = Vec::new();
-            for list in &layouts() {
-                for i in [1u32, 2, 3] {
-                    let fresh = match4_with(list, i, CoinVariant::Msb);
-                    let reused = match4_in(list, i, CoinVariant::Msb, &mut ws);
-                    assert_eq!(fresh.matching, reused.matching, "ws reuse differs");
-                    assert_eq!(fresh.rows, reused.rows);
-                    assert_eq!(fresh.cols, reused.cols);
-                    assert_eq!(fresh.distinct_sets, reused.distinct_sets);
-                    assert_eq!(fresh.walk_rounds, reused.walk_rounds);
-                    all.push(reused.matching);
+            for (list, want) in lists.iter().zip(&expected) {
+                for (&i, want) in levels.iter().zip(want) {
+                    let runner = || Runner::new(Algorithm::Match4).levels(i);
+                    let fresh = runner().run(list);
+                    let reused = runner().workspace(&mut ws).run(list);
+                    let got = reused.as_match4().unwrap();
+                    assert_eq!(fresh.matching(), &got.matching, "ws reuse differs");
+                    assert_eq!(got.matching, want.matching, "threads={threads} i={i}");
+                    assert_eq!(got.rows, want.rows);
+                    assert_eq!(got.cols, want.cols);
+                    assert_eq!(got.distinct_sets, want.distinct_sets);
+                    assert_eq!(got.walk_rounds, want.walk_rounds);
                 }
             }
-            all
         });
-        if t == 0 {
-            reference = outs;
-        } else {
-            assert_eq!(reference, outs, "thread count {threads} diverged");
-        }
     }
 }
 
-/// The fused relabel path (through `relabel_k` / `relabel_to_convergence`)
-/// is identical across thread counts, label for label.
+/// The production relabel kernel (through `relabel_to_convergence`) is
+/// identical across thread counts, label for label, and equal to the
+/// one-round-at-a-time reference chain.
 #[test]
 fn relabel_convergence_identical_across_threads() {
     for list in [random_list(6000, 21), blocked_list(2500, 16, 22)] {
-        let mut reference: Option<(Vec<u64>, u64, u32)> = None;
+        let want = oracle::converged(&list, CoinVariant::Msb);
         for &threads in &THREADS {
             let got = on_pool(threads, || {
-                let l = LabelSeq::initial(&list, CoinVariant::Msb).relabel_to_convergence(&list);
-                (l.labels().to_vec(), l.bound(), l.rounds())
+                LabelSeq::initial(&list, CoinVariant::Msb).relabel_to_convergence(&list)
             });
-            match &reference {
-                None => reference = Some(got),
-                Some(r) => assert_eq!(*r, got, "thread count {threads} diverged"),
-            }
+            assert_eq!(got, want, "thread count {threads} diverged");
         }
     }
 }
@@ -201,15 +196,27 @@ fn interleaved_workspace_reuse_is_clean() {
     let sizes = [4000usize, 100, 2500, 2, 900];
     for (k, &n) in sizes.iter().enumerate() {
         let list = random_list(n, 40 + k as u64);
-        let m1 = match1_in(&list, CoinVariant::Msb, &mut ws).matching;
-        let m2 = match2_in(&list, 2, CoinVariant::Msb, &mut ws).matching;
-        let m3 = match3_in(&list, Match3Config::default(), &mut ws)
-            .unwrap()
-            .matching;
-        let m4 = match4_in(&list, 2, CoinVariant::Msb, &mut ws).matching;
-        assert_eq!(m1, match1(&list, CoinVariant::Msb).matching);
-        assert_eq!(m2, match2(&list, 2, CoinVariant::Msb).matching);
-        assert_eq!(m3, match3(&list, Match3Config::default()).unwrap().matching);
-        assert_eq!(m4, match4_with(&list, 2, CoinVariant::Msb).matching);
+        let mut reused = |algo| {
+            Runner::new(algo)
+                .workspace(&mut ws)
+                .run(&list)
+                .into_matching()
+        };
+        assert_eq!(
+            reused(Algorithm::Match1),
+            oracle::match1(&list, CoinVariant::Msb).matching
+        );
+        assert_eq!(
+            reused(Algorithm::Match2),
+            oracle::match2(&list, 2, CoinVariant::Msb)
+        );
+        assert_eq!(
+            reused(Algorithm::Match3),
+            oracle::match3(&list, Match3Config::default())
+        );
+        assert_eq!(
+            reused(Algorithm::Match4),
+            oracle::match4(&list, 2, CoinVariant::Msb).matching
+        );
     }
 }

@@ -1,24 +1,37 @@
 //! Property-based tests: every algorithm, every layout family, every
 //! variant — output is always a maximal matching; partitions are always
-//! valid; the PRAM and native implementations agree.
+//! valid; [`Runner`](parmatch_core::Runner) agrees with the reference
+//! oracles (see `oracle/mod.rs`) and with the PRAM implementations.
 //!
 //! Two depth tiers: cheap native-only properties run at 256 cases;
 //! properties that drive the simulated PRAM (or build Match3 jump
 //! tables) under the debug-profile conflict checker stay at 48.
 
-// These differential suites deliberately pin the deprecated legacy entry
-// points: they are the ground truth the Runner facade must stay
-// bit-identical to.
-#![allow(deprecated)]
+mod oracle;
 
 use parmatch_core::pram_impl::{
     match1_pram, match2_pram, match3_pram, match4_pram, rank_pram, wyllie_pram,
 };
-use parmatch_core::{
-    f_pair, match1, match1_in, match2, match2_in, match3, match3_in, match4_in, match4_with,
-    pointer_sets, verify, CoinVariant, LabelSeq, Match3Config, Workspace,
-};
+use parmatch_core::prelude::*;
+use parmatch_core::{f_pair, pointer_sets, LabelSeq};
 use parmatch_list::{blocked_list, random_list, LinkedList, NodeId};
+
+/// One Runner run with a fresh workspace and default knobs apart from
+/// the coin variant and `k` (Match2 rounds, Match4 levels).
+fn run(algo: Algorithm, list: &LinkedList, k: u32, variant: CoinVariant) -> Matching {
+    Runner::new(algo)
+        .variant(variant)
+        .rounds(k)
+        .levels(k)
+        .run(list)
+        .into_matching()
+}
+
+/// The same run through a caller-owned workspace.
+fn run_in(algo: Algorithm, list: &LinkedList, ws: &mut Workspace) -> Matching {
+    Runner::new(algo).workspace(ws).run(list).into_matching()
+}
+
 use parmatch_pram::ExecMode;
 use proptest::prelude::*;
 
@@ -43,12 +56,14 @@ proptest! {
     }
 
     /// Labels stay adjacent-distinct and within bound through any number
-    /// of rounds, on any list.
+    /// of rounds, on any list, and the production relabel kernel equals
+    /// the chained reference rounds.
     #[test]
     fn labels_invariant(list in list_strategy(), rounds in 1u32..8) {
         let l = LabelSeq::initial(&list, CoinVariant::Msb).relabel_k(&list, rounds);
         prop_assert!(l.adjacent_distinct(&list));
         prop_assert!(l.max_label() < l.bound());
+        prop_assert_eq!(l, oracle::chained(&list, CoinVariant::Msb, rounds));
     }
 
     /// Lemma 1 on arbitrary lists: one round gives ≤ 2⌈log n⌉ + 1 sets.
@@ -64,7 +79,7 @@ proptest! {
     #[test]
     fn blocked_layout(n in 2usize..800, block in 1usize..64, seed in any::<u64>()) {
         let list = blocked_list(n, block, seed);
-        let m = match4_with(&list, 2, CoinVariant::Msb).matching;
+        let m = run(Algorithm::Match4, &list, 2, CoinVariant::Msb);
         verify::assert_maximal_matching(&list, &m);
     }
 
@@ -72,30 +87,25 @@ proptest! {
     #[test]
     fn size_band(list in list_strategy()) {
         let p = list.pointer_count();
-        for m in [
-            match1(&list, CoinVariant::Msb).matching,
-            match2(&list, 2, CoinVariant::Msb).matching,
-            match4_with(&list, 2, CoinVariant::Msb).matching,
-        ] {
+        for algo in [Algorithm::Match1, Algorithm::Match2, Algorithm::Match4] {
+            let m = run(algo, &list, 2, CoinVariant::Msb);
             prop_assert!(3 * m.len() >= p, "too small: {} of {p}", m.len());
             prop_assert!(2 * m.len() <= p + 1, "too large: {} of {p}", m.len());
         }
     }
 
-    /// The workspace-backed drivers are bit-identical to the fresh
-    /// allocation paths on arbitrary lists — including through a reused
-    /// workspace warmed up on a *different* list.
+    /// Runner through a reused workspace is bit-identical to the
+    /// reference oracles on arbitrary lists — including a workspace
+    /// warmed up on a *different* list.
     #[test]
     fn workspace_drivers_bit_identical(list in list_strategy(), warm in list_strategy()) {
         let mut ws = Workspace::new();
         // warm the arena on an unrelated size so stale state would show
-        let _ = match4_in(&warm, 2, CoinVariant::Msb, &mut ws);
-        let m1 = match1_in(&list, CoinVariant::Msb, &mut ws);
-        prop_assert_eq!(m1.matching, match1(&list, CoinVariant::Msb).matching);
-        let m2 = match2_in(&list, 2, CoinVariant::Msb, &mut ws);
-        prop_assert_eq!(m2.matching, match2(&list, 2, CoinVariant::Msb).matching);
-        let m4 = match4_in(&list, 2, CoinVariant::Msb, &mut ws);
-        prop_assert_eq!(m4.matching, match4_with(&list, 2, CoinVariant::Msb).matching);
+        let _ = run_in(Algorithm::Match4, &warm, &mut ws);
+        let v = CoinVariant::Msb;
+        prop_assert_eq!(run_in(Algorithm::Match1, &list, &mut ws), oracle::match1(&list, v).matching);
+        prop_assert_eq!(run_in(Algorithm::Match2, &list, &mut ws), oracle::match2(&list, 2, v));
+        prop_assert_eq!(run_in(Algorithm::Match4, &list, &mut ws), oracle::match4(&list, 2, v).matching);
     }
 
     /// Relabeling a list is permutation-equivariant in the trivial
@@ -105,8 +115,9 @@ proptest! {
     fn reproducible(n in 2usize..500, seed in any::<u64>()) {
         let a = random_list(n, seed);
         let b = random_list(n, seed);
-        prop_assert_eq!(match1(&a, CoinVariant::Msb).matching, match1(&b, CoinVariant::Msb).matching);
-        prop_assert_eq!(match4_with(&a, 2, CoinVariant::Msb).matching, match4_with(&b, 2, CoinVariant::Msb).matching);
+        for algo in [Algorithm::Match1, Algorithm::Match4] {
+            prop_assert_eq!(run(algo, &a, 2, CoinVariant::Msb), run(algo, &b, 2, CoinVariant::Msb));
+        }
     }
 }
 
@@ -116,36 +127,37 @@ proptest! {
     // table, per case.
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// All four native algorithms produce maximal matchings on anything.
-    /// (Stays in the slow tier: the default Match3 config builds its
-    /// full jump table per case.)
+    /// All four native algorithms produce maximal matchings on anything,
+    /// bit-identical to the reference oracles. (Stays in the slow tier:
+    /// the default Match3 config builds its full jump table per case.)
     #[test]
     fn all_algorithms_maximal(list in list_strategy(), variant_lsb in any::<bool>()) {
         let variant = if variant_lsb { CoinVariant::Lsb } else { CoinVariant::Msb };
-        let m1 = match1(&list, variant).matching;
+        let m1 = run(Algorithm::Match1, &list, 2, variant);
         verify::assert_maximal_matching(&list, &m1);
-        let m2 = match2(&list, 2, variant).matching;
+        prop_assert_eq!(m1, oracle::match1(&list, variant).matching);
+        let m2 = run(Algorithm::Match2, &list, 2, variant);
         verify::assert_maximal_matching(&list, &m2);
-        let cfg = Match3Config { variant, ..Match3Config::default() };
-        let m3 = match3(&list, cfg).unwrap().matching;
+        prop_assert_eq!(m2, oracle::match2(&list, 2, variant));
+        let m3 = run(Algorithm::Match3, &list, 2, variant);
         verify::assert_maximal_matching(&list, &m3);
-        let m4 = match4_with(&list, 2, variant).matching;
+        let m4 = run(Algorithm::Match4, &list, 2, variant);
         verify::assert_maximal_matching(&list, &m4);
+        prop_assert_eq!(m4, oracle::match4(&list, 2, variant).matching);
     }
 
-    /// Workspace-backed Match3 (with its cached lookup table) equals
-    /// fresh Match3 on arbitrary lists. (Slow tier: builds the default
-    /// jump table per case on a cache miss.)
+    /// Runner Match3 with a reused workspace (and its cached lookup
+    /// table) equals a fresh run on arbitrary lists. (Slow tier: builds
+    /// the default jump table per case on a cache miss.)
     #[test]
     fn workspace_match3_bit_identical(list in list_strategy()) {
-        let cfg = Match3Config::default();
         let mut ws = Workspace::new();
-        let fresh = match3(&list, cfg).unwrap();
-        let a = match3_in(&list, cfg, &mut ws).unwrap();
-        let b = match3_in(&list, cfg, &mut ws).unwrap(); // table-cache hit
-        prop_assert_eq!(&fresh.matching, &a.matching);
-        prop_assert_eq!(&a.matching, &b.matching);
-        prop_assert_eq!(fresh.final_bound, a.final_bound);
+        let fresh = Runner::new(Algorithm::Match3).run(&list);
+        let a = Runner::new(Algorithm::Match3).workspace(&mut ws).run(&list);
+        let b = Runner::new(Algorithm::Match3).workspace(&mut ws).run(&list); // table-cache hit
+        prop_assert_eq!(fresh.matching(), a.matching());
+        prop_assert_eq!(a.matching(), b.matching());
+        prop_assert_eq!(fresh.as_match3().unwrap().final_bound, a.as_match3().unwrap().final_bound);
     }
 
     /// PRAM Match1 equals native Match1 exactly (same algorithm, same
@@ -153,8 +165,8 @@ proptest! {
     #[test]
     fn pram_match1_equals_native(list in list_strategy(), p in 1usize..128) {
         let pram = match1_pram(&list, p, CoinVariant::Msb, ExecMode::Checked).unwrap();
-        let native = match1(&list, CoinVariant::Msb);
-        prop_assert_eq!(pram.matching, native.matching);
+        let native = run(Algorithm::Match1, &list, 2, CoinVariant::Msb);
+        prop_assert_eq!(pram.matching, native);
     }
 
     /// PRAM Match2 is maximal and EREW-legal for any processor count —
@@ -164,8 +176,8 @@ proptest! {
     fn pram_match2_equals_native(list in list_strategy(), p in 1usize..128) {
         let out = match2_pram(&list, p, 2, CoinVariant::Msb, ExecMode::Checked).unwrap();
         verify::assert_maximal_matching(&list, &out.matching);
-        let native = match2(&list, 2, CoinVariant::Msb);
-        prop_assert_eq!(out.matching, native.matching);
+        let native = run(Algorithm::Match2, &list, 2, CoinVariant::Msb);
+        prop_assert_eq!(out.matching, native);
     }
 
     /// PRAM Match4 is maximal and CREW-legal for any i and row padding —
@@ -175,8 +187,8 @@ proptest! {
     fn pram_match4_maximal(list in list_strategy(), i in 1u32..4, pad in 0usize..40) {
         let out = match4_pram(&list, i, None, CoinVariant::Msb, ExecMode::Checked).unwrap();
         verify::assert_maximal_matching(&list, &out.matching);
-        let native = parmatch_core::match4_with(&list, i, CoinVariant::Msb);
-        prop_assert_eq!(&out.matching, &native.matching);
+        let native = run(Algorithm::Match4, &list, i, CoinVariant::Msb);
+        prop_assert_eq!(&out.matching, &native);
         if pad > 0 {
             let rows = out.rows + pad;
             if rows <= list.len() {
@@ -196,9 +208,9 @@ proptest! {
     #[test]
     fn pram_match3_equals_native(list in list_strategy(), p in 1usize..32) {
         let cfg = Match3Config { jump_rounds: Some(1), ..Match3Config::default() };
-        let native = match3(&list, cfg).unwrap();
+        let native = Runner::new(Algorithm::Match3).config(cfg).run(&list);
         let pram = match3_pram(&list, p, cfg, ExecMode::Checked).unwrap();
-        prop_assert_eq!(pram.matching, native.matching);
+        prop_assert_eq!(&pram.matching, native.matching());
     }
 
     /// PRAM Wyllie matches the sequential ranks and is CREW-legal.
@@ -239,9 +251,9 @@ fn exhaustive_tiny_lists() {
         for perm in permutations(n) {
             let list = LinkedList::from_order(&perm);
             for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
-                verify::assert_maximal_matching(&list, &match1(&list, variant).matching);
-                verify::assert_maximal_matching(&list, &match2(&list, 1, variant).matching);
-                verify::assert_maximal_matching(&list, &match4_with(&list, 1, variant).matching);
+                for algo in [Algorithm::Match1, Algorithm::Match2, Algorithm::Match4] {
+                    verify::assert_maximal_matching(&list, &run(algo, &list, 1, variant));
+                }
             }
             let pram = match4_pram(&list, 1, None, CoinVariant::Msb, ExecMode::Checked).unwrap();
             verify::assert_maximal_matching(&list, &pram.matching);

@@ -13,7 +13,7 @@
 //! (including its rayon parallelism) makes the benchmark comparison
 //! apples-to-apples.
 //!
-//! Not deprecated, but not for new code either: use
+//! It stays supported as that oracle; new code uses
 //! [`crate::Machine`].
 
 use crate::error::PramError;

@@ -9,7 +9,8 @@
 //!
 //! * **Workspace pooling.** Workers check reusable
 //!   [`Workspace`] arenas out of a bounded pool and back in when done,
-//!   so the steady state allocates nothing per job. An arena checked in
+//!   so the steady state allocates no per-node scratch per job (see
+//!   [`Workspace`] for what a run still allocates). An arena checked in
 //!   by a *panicked* job is [`Workspace::scrub`]bed first; the next
 //!   checkout sees fresh-workspace behavior (the `arena_reuse` suite in
 //!   `parmatch-core` pins this).
@@ -225,7 +226,8 @@ pub enum JobError {
     Cancelled,
     /// The job's deadline passed (before or mid-run).
     DeadlineExceeded,
-    /// The runner returned an error (today: the Match3 table budget).
+    /// The runner rejected the job's knobs (`rounds == 0` for Match2,
+    /// `levels == 0` for Match4) or the Match3 table stage failed.
     Failed(RunnerError),
     /// The job panicked; the message is carried, the worker and its
     /// arena survive.
@@ -355,6 +357,10 @@ struct CancelProbe<'a, O: Observer> {
     inner: &'a mut O,
     cancel: &'a AtomicBool,
     deadline: Option<Instant>,
+    /// Test-only fault injection: panic on entering this span, so the
+    /// unwind path (arena guard, scrub, classification) runs mid-job.
+    #[cfg(test)]
+    panic_on: Option<&'static str>,
 }
 
 impl<O: Observer> Observer for CancelProbe<'_, O> {
@@ -368,6 +374,10 @@ impl<O: Observer> Observer for CancelProbe<'_, O> {
             if Instant::now() >= d {
                 std::panic::panic_any(CancelToken::Deadline);
             }
+        }
+        #[cfg(test)]
+        if self.panic_on == Some(label) {
+            panic!("injected panic at span {label}");
         }
         self.inner.enter(label);
     }
@@ -391,6 +401,9 @@ impl<O: Observer> Observer for CancelProbe<'_, O> {
 struct ArenaPool {
     slots: Mutex<Vec<Workspace>>,
     available: Condvar,
+    /// Poisoned check-ins so far (tests assert the scrub ran).
+    #[cfg(test)]
+    scrubs: std::sync::atomic::AtomicUsize,
 }
 
 impl ArenaPool {
@@ -398,6 +411,8 @@ impl ArenaPool {
         ArenaPool {
             slots: Mutex::new((0..count).map(|_| Workspace::new()).collect()),
             available: Condvar::new(),
+            #[cfg(test)]
+            scrubs: Default::default(),
         }
     }
 
@@ -414,6 +429,8 @@ impl ArenaPool {
     fn checkin(&self, mut ws: Workspace, poisoned: bool) {
         if poisoned {
             ws.scrub();
+            #[cfg(test)]
+            self.scrubs.fetch_add(1, Ordering::Relaxed);
         }
         self.slots.lock().expect("arena pool poisoned").push(ws);
         self.available.notify_one();
@@ -855,7 +872,13 @@ fn execute(
     cancel: &AtomicBool,
     deadline: Option<Instant>,
 ) -> (Result<MatchOutcome, RunnerError>, Option<Recording>) {
-    let build = || {
+    fn probed<O: Observer>(
+        spec: &JobSpec,
+        ws: &mut Workspace,
+        inner: &mut O,
+        cancel: &AtomicBool,
+        deadline: Option<Instant>,
+    ) -> Result<MatchOutcome, RunnerError> {
         let mut runner = Runner::new(spec.algorithm)
             .config(spec.config)
             .variant(spec.variant)
@@ -864,32 +887,24 @@ fn execute(
         if let Some(t) = spec.threads {
             runner = runner.threads(t);
         }
+        let mut probe = CancelProbe {
+            inner,
+            cancel,
+            deadline,
+            #[cfg(test)]
+            panic_on: tests::injected_panic_span(spec),
+        };
         runner
-    };
+            .workspace(ws)
+            .observer(&mut probe)
+            .try_run(&spec.list)
+    }
     if spec.observed {
         let mut rec = Recorder::new();
-        let mut probe = CancelProbe {
-            inner: &mut rec,
-            cancel,
-            deadline,
-        };
-        let out = build()
-            .workspace(ws)
-            .observer(&mut probe)
-            .try_run(&spec.list);
+        let out = probed(spec, ws, &mut rec, cancel, deadline);
         (out, Some(rec.finish()))
     } else {
-        let mut noop = NoopObserver;
-        let mut probe = CancelProbe {
-            inner: &mut noop,
-            cancel,
-            deadline,
-        };
-        let out = build()
-            .workspace(ws)
-            .observer(&mut probe)
-            .try_run(&spec.list);
-        (out, None)
+        (probed(spec, ws, &mut NoopObserver, cancel, deadline), None)
     }
 }
 
@@ -1048,12 +1063,59 @@ mod tests {
         svc.shutdown();
     }
 
+    /// Submit `bad` then a good job: `bad` must fail with the typed
+    /// knob error and the good job must still match its solo run.
+    fn assert_rejected(bad: JobSpec, knob: &'static str) {
+        let svc = small_service();
+        let algorithm = bad.algorithm;
+        let bad = svc.submit(bad).unwrap();
+        let list = random_list(2048, 8);
+        let good = svc.submit(JobSpec::new(algorithm, list.clone())).unwrap();
+        let results = svc.recv_n(2);
+        let br = results.iter().find(|r| r.id == bad).unwrap();
+        assert_eq!(
+            br.output.as_ref().unwrap_err(),
+            &JobError::Failed(RunnerError::ZeroKnob { algorithm, knob })
+        );
+        let gr = results.iter().find(|r| r.id == good).unwrap();
+        let out = gr.output.as_ref().expect("pool survives the rejected job");
+        let solo = Runner::new(algorithm).run(&list);
+        assert_eq!(out.matching().unwrap(), solo.matching());
+        svc.shutdown();
+    }
+
+    #[test]
+    fn zero_rounds_job_fails_typed() {
+        assert_rejected(
+            JobSpec::new(Algorithm::Match2, random_list(512, 7)).rounds(0),
+            "rounds",
+        );
+    }
+
+    #[test]
+    fn zero_levels_job_fails_typed() {
+        assert_rejected(
+            JobSpec::new(Algorithm::Match4, random_list(512, 9)).levels(0),
+            "levels",
+        );
+    }
+
+    /// Lists of this length make `execute` panic on entering Match4's
+    /// `grid` span, after the run has taken the arena's grid storage.
+    const PANIC_LIST_LEN: usize = 1999;
+
+    pub(super) fn injected_panic_span(spec: &JobSpec) -> Option<&'static str> {
+        (spec.list.len() == PANIC_LIST_LEN).then_some("grid")
+    }
+
     #[test]
     fn panicking_job_is_isolated() {
         let svc = small_service();
-        // rounds = 0 trips Match2's contract assertion mid-run.
         let bad = svc
-            .submit(JobSpec::new(Algorithm::Match2, random_list(512, 7)).rounds(0))
+            .submit(JobSpec::new(
+                Algorithm::Match4,
+                random_list(PANIC_LIST_LEN, 7),
+            ))
             .unwrap();
         let list = random_list(2048, 8);
         let good = svc
@@ -1061,16 +1123,40 @@ mod tests {
             .unwrap();
         let results = svc.recv_n(2);
         let br = results.iter().find(|r| r.id == bad).unwrap();
-        assert!(
-            matches!(&br.output, Err(JobError::Panicked(msg)) if msg.contains("round")),
-            "got {:?}",
-            br.output
+        assert_eq!(
+            br.output.as_ref().unwrap_err(),
+            &JobError::Panicked("injected panic at span grid".to_string())
         );
+        // One worker, one arena: the good job ran on the same worker with
+        // the arena the panicked job scrubbed and returned.
         let gr = results.iter().find(|r| r.id == good).unwrap();
         let out = gr.output.as_ref().expect("pool survives the panic");
         let solo = Runner::new(Algorithm::Match4).run(&list);
         assert_eq!(out.matching().unwrap(), solo.matching());
+        let arenas = &svc.shared.arenas;
+        assert_eq!(arenas.scrubs.load(Ordering::Relaxed), 1);
+        assert_eq!(arenas.slots.lock().unwrap().len(), 1);
         svc.shutdown();
+    }
+
+    #[test]
+    fn panic_payloads_classify_by_type() {
+        assert_eq!(
+            classify_panic(Box::new("boom")),
+            JobError::Panicked("boom".to_string())
+        );
+        assert_eq!(
+            classify_panic(Box::new(format!("round {}", 3))),
+            JobError::Panicked("round 3".to_string())
+        );
+        assert_eq!(
+            classify_panic(Box::new(CancelToken::Deadline)),
+            JobError::DeadlineExceeded
+        );
+        assert_eq!(
+            classify_panic(Box::new(CancelToken::Cancelled)),
+            JobError::Cancelled
+        );
     }
 
     #[test]
