@@ -11,14 +11,15 @@
 //! slice.
 //!
 //! **Bit identity.** A job's labels start as its *local* addresses
-//! (`labels[off + v] = v`), its successors never leave `[off, off+n)`,
-//! and the coin-tossing widths depend only on the bound cascade — so a
-//! fused job's labels evolve exactly as they would solo, provided every
-//! job in the batch shares the cascade parameters. That is the
-//! [`BatchKey`]: initial width class `⌈log₂ n⌉`, convergence round
-//! count, and coin variant. (Width class alone is not enough: `n = 9`
-//! converges in 0 rounds while `n = 16` needs 1, though both have width
-//! 4.) The `fused_batch_matches_solo_runs` test pins the identity
+//! (the relabel kernel's first label of node `off + v` is `v`, read
+//! from a `u32` array filled per job), its successors never leave
+//! `[off, off+n)`, and the coin-tossing widths depend only on the bound
+//! cascade — so a fused job's labels evolve exactly as they would solo,
+//! provided every job in the batch shares the cascade parameters. That
+//! is the [`BatchKey`]: initial width class `⌈log₂ n⌉`, convergence
+//! round count, and coin variant. (Width class alone is not enough:
+//! `n = 9` converges in 0 rounds while `n = 16` needs 1, though both
+//! have width 4.) The `fused_batch_matches_solo_runs` test pins the identity
 //! against per-job [`Runner`](crate::runner::Runner) runs.
 
 use crate::labels::{convergence_rounds, relabel_rounds};
@@ -129,7 +130,8 @@ pub fn match1_batch_in(
 ) -> Vec<Match1Output> {
     assert_eq!(lists.len(), plan.jobs(), "plan/job count mismatch");
     ws.prepare_batch_next_cyc(lists, plan.offsets());
-    ws.prepare_batch_local_labels(plan.offsets());
+    ws.prepare_batch_local_ids(plan.offsets());
+    let total = plan.total_nodes();
 
     // One fused sweep over the concatenation. Any representative of the
     // width class yields the same per-round widths; use the first job's
@@ -137,13 +139,17 @@ pub fn match1_batch_in(
     {
         let Workspace {
             next_cyc,
+            local_ids,
             labels_a,
             labels_b,
             ..
         } = &mut *ws;
         let next_cyc: &[NodeId] = next_cyc;
+        let local_ids: &[NodeId] = local_ids;
         relabel_rounds(
             &|u: NodeId| next_cyc[u as usize],
+            &|u: NodeId| Word::from(local_ids[u as usize]),
+            total,
             labels_a,
             labels_b,
             lists[0].len() as Word,
@@ -166,7 +172,6 @@ pub fn match1_batch_in(
     // and the matching — are bit-identical to a solo run, while a batch
     // of B small jobs costs a handful of parallel dispatches instead of
     // B × (passes per job).
-    let total = plan.total_nodes();
     let rounds = plan.key.rounds;
     let Workspace {
         labels_a,
@@ -176,11 +181,11 @@ pub fn match1_batch_in(
     } = &mut *ws;
     cut.resize(total, false);
     matched.resize_with(total, || std::sync::atomic::AtomicBool::new(false));
-    let labels: &[Word] = labels_a;
+    let labels: &[u8] = labels_a;
 
     struct JobWindow<'a> {
         list: &'a LinkedList,
-        labels: &'a [Word],
+        labels: &'a [u8],
         cut: &'a mut [bool],
         matched: &'a mut [std::sync::atomic::AtomicBool],
     }
@@ -221,7 +226,7 @@ pub fn match1_batch_in(
             // The fused cut + walk traversal. `offset` is the position
             // within the current sublist; a cut node ends its sublist
             // unmarked and the next node starts a fresh one.
-            let mut prev_label: Option<Word> = None;
+            let mut prev_label: Option<u8> = None;
             let mut offset = 0usize;
             let mut v = list.head() as usize;
             loop {
@@ -356,18 +361,25 @@ mod tests {
 
     #[test]
     fn zero_round_class_fuses_too() {
-        // n ∈ {8, 9} share width ≤ 4 with 0 convergence rounds? n=8:
-        // cascade 8 → 7 shrinks, so rounds ≥ 1; n=9 has rounds 0 — use
-        // same-size batches instead for the degenerate-round case.
-        let lists: Vec<_> = (0..5u64).map(|s| random_list(9, s)).collect();
-        let refs: Vec<&LinkedList> = lists.iter().collect();
-        let plan = BatchPlan::new(&refs, CoinVariant::Msb).expect("same size, same key");
-        assert_eq!(plan.key().rounds(), 0);
-        let outs = match1_batch_in(&refs, &plan, &mut Workspace::new());
-        for (list, out) in lists.iter().zip(&outs) {
-            let solo = solo_run(list, CoinVariant::Msb);
-            assert_eq!(out.matching, solo.matching);
-            assert_eq!(out.final_bound, solo.final_bound);
+        // Every class whose lists converge in zero rounds: n = 2, 3–4,
+        // 5–7 (widths 1, 2, 3) and n = 9 (width 4; n = 8 and 10–16
+        // need a round). The kernel writes the job-local addresses as
+        // the final byte labels, so each fused job must still cut on
+        // exactly its solo labels.
+        for sizes in [&[2usize][..], &[3, 4], &[5, 6, 7], &[9]] {
+            let lists: Vec<_> = (0..7u64)
+                .map(|s| random_list(sizes[s as usize % sizes.len()], s))
+                .collect();
+            let refs: Vec<&LinkedList> = lists.iter().collect();
+            let plan = BatchPlan::new(&refs, CoinVariant::Msb).expect("one zero-round class");
+            assert_eq!(plan.key().rounds(), 0, "sizes {sizes:?}");
+            let outs = match1_batch_in(&refs, &plan, &mut Workspace::new());
+            for (list, out) in lists.iter().zip(&outs) {
+                let solo = solo_run(list, CoinVariant::Msb);
+                assert_eq!(out.matching, solo.matching, "n = {}", list.len());
+                assert_eq!(out.final_bound, solo.final_bound);
+                verify::assert_maximal_matching(list, &out.matching);
+            }
         }
     }
 

@@ -103,11 +103,13 @@ pub fn from_labels(list: &LinkedList, labels: &[Word]) -> Matching {
 
 /// The production form of [`from_labels`], run by the Match1 and
 /// Match3 bodies: all per-node state lives in caller-provided
-/// (workspace) buffers, the predecessor array is taken precomputed, and
-/// sublists are walked directly from their locally detectable heads
-/// (`h` starts a sublist iff `pred[h]` is [`NIL`] or cut) instead of
-/// materializing a sorted head list. Marks — and therefore the
-/// matching — are bit-identical to [`from_labels`].
+/// (workspace) buffers, the labels are bytes, the predecessor array is
+/// taken precomputed, and sublists are walked directly from their
+/// locally detectable heads (`h` starts a sublist iff `pred[h]` is
+/// [`NIL`] or cut) instead of materializing a sorted head list. The
+/// walk marks both endpoints of every pointer it takes in `matched`,
+/// and one last pass writes the output mask in place. Marks — and
+/// therefore the matching — are bit-identical to [`from_labels`].
 ///
 /// An enabled [`Observer`] then replays the
 /// sublist structure left in the buffers (cut mask, walk marks) and
@@ -120,8 +122,8 @@ pub fn from_labels(list: &LinkedList, labels: &[Word]) -> Matching {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn from_labels_core<O: Observer>(
     list: &LinkedList,
-    labels: &[Word],
-    pred: &[NodeId],
+    labels: &[u8],
+    pred: &[AtomicU32],
     cut: &mut Vec<bool>,
     mask: &mut Vec<AtomicBool>,
     matched: &mut Vec<AtomicBool>,
@@ -134,6 +136,7 @@ pub(crate) fn from_labels_core<O: Observer>(
     }
     assert_eq!(labels.len(), n, "label array length mismatch");
     assert_eq!(pred.len(), n, "pred array length mismatch");
+    let pred_of = |v: NodeId| pred[v as usize].load(Ordering::Relaxed);
 
     // Step 3: the local-minima cut, chunked over nodes.
     cut.resize(n, false);
@@ -147,7 +150,7 @@ pub(crate) fn from_labels_core<O: Observer>(
                     false
                 } else {
                     let lv = labels[v as usize];
-                    let left_higher = match pred[v as usize] {
+                    let left_higher = match pred_of(v) {
                         NIL => true,
                         u => labels[u as usize] > lv,
                     };
@@ -159,16 +162,19 @@ pub(crate) fn from_labels_core<O: Observer>(
     reset_bools(mask, n);
     reset_bools(matched, n);
 
-    // Step 4: walk each sublist, taking even offsets. `h` heads a
+    // Step 4: walk each sublist, taking even offsets and marking both
+    // endpoints of each taken pointer (taken pointers are
+    // node-disjoint, so every store has a unique writer). `h` heads a
     // sublist iff nothing walks into it: its predecessor is missing or
     // cut — the same head set `walk_sublists` derives globally.
     let cut_ref: &[bool] = cut;
     let mask_ref: &[AtomicBool] = mask;
+    let matched_ref: &[AtomicBool] = matched;
     (0..n as NodeId)
         .into_par_iter()
         .with_min_len(CHUNK)
         .for_each(|h| {
-            let starts = match pred[h as usize] {
+            let starts = match pred_of(h) {
                 NIL => true,
                 u => cut_ref[u as usize],
             };
@@ -186,6 +192,8 @@ pub(crate) fn from_labels_core<O: Observer>(
                     w => {
                         if offset.is_multiple_of(2) {
                             mask_ref[v as usize].store(true, Ordering::Relaxed);
+                            matched_ref[v as usize].store(true, Ordering::Relaxed);
+                            matched_ref[w as usize].store(true, Ordering::Relaxed);
                         }
                         offset += 1;
                         v = w;
@@ -194,30 +202,15 @@ pub(crate) fn from_labels_core<O: Observer>(
             }
         });
 
-    // Fix-up: matched-node scatter (matching pointers are node-disjoint,
-    // so every store has a unique writer), then the re-add pass.
-    let matched_ref: &[AtomicBool] = matched;
-    (0..n as NodeId)
-        .into_par_iter()
-        .with_min_len(CHUNK)
-        .for_each(|v| {
-            if mask_ref[v as usize].load(Ordering::Relaxed) {
-                matched_ref[v as usize].store(true, Ordering::Relaxed);
-                matched_ref[list.next_raw(v) as usize].store(true, Ordering::Relaxed);
-            }
-        });
-    let final_mask: Vec<bool> = (0..n)
-        .into_par_iter()
-        .with_min_len(CHUNK)
-        .map(|v| {
-            mask_ref[v].load(Ordering::Relaxed)
-                || (cut_ref[v]
-                    && list.next_raw(v as NodeId) != NIL
-                    && !matched_ref[v].load(Ordering::Relaxed)
-                    && !matched_ref[list.next_raw(v as NodeId) as usize].load(Ordering::Relaxed))
-        })
-        .collect();
-    let m = Matching::from_mask(list, final_mask);
+    // Fix-up: re-add every cut pointer both of whose endpoints stayed
+    // free, writing the output mask in place.
+    let m = Matching::from_marks(list, |v| {
+        mask_ref[v].load(Ordering::Relaxed)
+            || (cut_ref[v]
+                && list.next_raw(v as NodeId) != NIL
+                && !matched_ref[v].load(Ordering::Relaxed)
+                && !matched_ref[list.next_raw(v as NodeId) as usize].load(Ordering::Relaxed))
+    });
     if O::ENABLED {
         observe_sublists(list, pred, cut, mask, &m, bound, obs);
     }
@@ -228,7 +221,7 @@ pub(crate) fn from_labels_core<O: Observer>(
 /// mask and walk marks it leaves behind.
 fn observe_sublists<O: Observer>(
     list: &LinkedList,
-    pred: &[NodeId],
+    pred: &[AtomicU32],
     cut: &[bool],
     mask: &[AtomicBool],
     m: &Matching,
@@ -242,7 +235,7 @@ fn observe_sublists<O: Observer>(
     let mut walk_nodes = 0u64;
     let mut max_sublist = 0u64;
     for h in 0..n as NodeId {
-        let starts = match pred[h as usize] {
+        let starts = match pred[h as usize].load(Ordering::Relaxed) {
             NIL => true,
             u => cut[u as usize],
         };
@@ -374,12 +367,7 @@ pub(crate) fn greedy_core<O: Observer>(
                 }
             });
     }
-    let final_mask: Vec<bool> = (0..n)
-        .into_par_iter()
-        .with_min_len(CHUNK)
-        .map(|v| mask_ref[v].load(Ordering::Relaxed))
-        .collect();
-    let m = Matching::from_mask(list, final_mask);
+    let m = Matching::from_marks(list, |v| mask_ref[v].load(Ordering::Relaxed));
     if O::ENABLED {
         let bucketed = set_starts[b] as u64;
         obs.enter("sweep");

@@ -34,7 +34,7 @@ use parmatch_list::{LinkedList, NodeId};
 use rayon::prelude::*;
 
 use crate::obs::{NoopObserver, Observer};
-use crate::workspace::CHUNK;
+use crate::workspace::{par_fill, CHUNK};
 
 /// Bit width used by a relabel round starting from `bound`.
 #[inline]
@@ -51,21 +51,31 @@ pub(crate) fn convergence_rounds(bound: Word) -> u32 {
     parmatch_bits::cascade_rounds(bound)
 }
 
-/// Apply `rounds` relabel rounds to `cur` in place (using `alt` as the
-/// double buffer) and return the final bound. Output is bit-identical
-/// to `rounds` chained [`LabelSeq::relabel`] calls.
+/// Apply `rounds` relabel rounds to the labels `first(v)` of `n` nodes
+/// with exclusive bound `bound`, leaving the result in `cur` (`alt` is
+/// the double buffer), and return the final bound. Output is
+/// bit-identical to `rounds` chained [`LabelSeq::relabel`] calls.
 ///
-/// Every round is one parallel pass that scans `cur` and the successor
-/// array in order and makes one independent label gather per node.
-/// An enabled [`Observer`] also records a
-/// `relabel` span: one `round` child per round carrying the round's
-/// width, new bound and a [`census256`] of distinct labels audited
-/// against Lemma 1's `2w`, plus totals (`final_bound`,
-/// `bytes_touched`).
-pub(crate) fn relabel_rounds<S, O: Observer>(
+/// Labels are bytes. Round 1 computes `f_ext(first(v), first(suc v))`
+/// straight from the first-label function — so the address labels of a
+/// fresh run are never stored — and its values are below `2·64 + 1 =
+/// 129` whatever the bound (Lemma 1). Every later round is one parallel
+/// pass that scans `cur` and the successor array in order and makes one
+/// independent byte gather per node. With `rounds == 0` the first
+/// labels themselves are written, narrowed with a check (addresses
+/// are below 9 for every list that converges in zero rounds).
+///
+/// An enabled [`Observer`] also records a `relabel` span: one `round`
+/// child per round carrying the round's width, new bound and a
+/// [`census256`] of distinct labels audited against Lemma 1's `2w`,
+/// plus totals (`final_bound`, `bytes_touched`).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn relabel_rounds<S, L, O: Observer>(
     suc: &S,
-    cur: &mut Vec<Word>,
-    alt: &mut Vec<Word>,
+    first: &L,
+    n: usize,
+    cur: &mut Vec<u8>,
+    alt: &mut Vec<u8>,
     bound: Word,
     rounds: u32,
     variant: CoinVariant,
@@ -73,29 +83,35 @@ pub(crate) fn relabel_rounds<S, O: Observer>(
 ) -> Word
 where
     S: Fn(NodeId) -> NodeId + Sync,
+    L: Fn(NodeId) -> Word + Sync,
 {
-    let n = cur.len();
+    cur.resize(n, 0);
     alt.resize(n, 0);
     if O::ENABLED {
         obs.enter("relabel");
         obs.counter("rounds", u64::from(rounds));
         obs.counter("initial_bound", bound);
     }
+    if rounds == 0 {
+        par_fill(cur, |v| {
+            u8::try_from(first(v as NodeId)).expect("zero-round labels must fit a byte")
+        });
+    }
+    // `w ≤ 64`, so `f_ext` never exceeds 128 and `as u8` is exact.
     let mut b = bound;
     for r in 0..rounds {
         let w = width_of(b);
-        {
-            let input: &[Word] = cur;
-            alt.par_chunks_mut(CHUNK)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    let base = ci * CHUNK;
-                    for (i, slot) in chunk.iter_mut().enumerate() {
-                        let v = base + i;
-                        let s = suc(v as NodeId) as usize;
-                        *slot = f_ext(input[v], input[s], w, variant);
-                    }
-                });
+        if r == 0 {
+            par_fill(alt, |v| {
+                let v = v as NodeId;
+                f_ext(first(v), first(suc(v)), w, variant) as u8
+            });
+        } else {
+            let input: &[u8] = cur;
+            par_fill(alt, |v| {
+                let s = suc(v as NodeId) as usize;
+                f_ext(Word::from(input[v]), Word::from(input[s]), w, variant) as u8
+            });
         }
         std::mem::swap(cur, alt);
         b = 2 * Word::from(w) + 1;
@@ -116,18 +132,16 @@ where
     b
 }
 
-/// Count distinct label values in an array whose values are all `< 256`
-/// — true for any post-round label array, whose bound is at most
-/// `2·64 + 1 = 129`. Parallel per-chunk bitmask census, OR-reduced.
-pub(crate) fn census256(labels: &[Word]) -> u64 {
+/// Count distinct values in a byte label array. Parallel per-chunk
+/// bitmask census, OR-reduced.
+pub(crate) fn census256(labels: &[u8]) -> u64 {
     let nchunks = labels.len().div_ceil(CHUNK);
     let partial: Vec<[u64; 4]> = (0..nchunks)
         .into_par_iter()
         .map(|ci| {
             let mut m = [0u64; 4];
             for &l in &labels[ci * CHUNK..((ci + 1) * CHUNK).min(labels.len())] {
-                debug_assert!(l < 256, "census256 on labels above 255");
-                m[(l >> 6) as usize] |= 1 << (l & 63);
+                m[usize::from(l >> 6)] |= 1 << (l & 63);
             }
             m
         })
@@ -318,14 +332,20 @@ impl LabelSeq {
     }
 
     /// Apply `k` rounds of [`relabel`](Self::relabel) through the
-    /// matchers' relabel kernel, double-buffered in two arrays.
-    /// Bit-identical to `k` chained `relabel` calls.
+    /// matchers' byte-label kernel, starting from these labels (round 1
+    /// narrows any label width to bytes). Bit-identical to `k` chained
+    /// `relabel` calls.
     pub fn relabel_k(&self, list: &LinkedList, k: u32) -> Self {
         assert_eq!(list.len(), self.labels.len(), "label/list size mismatch");
-        let mut cur = self.labels.clone();
-        let mut alt = Vec::new();
+        if k == 0 {
+            return self.clone();
+        }
+        let (mut cur, mut alt) = (Vec::new(), Vec::new());
+        let labels = &self.labels;
         let bound = relabel_rounds(
             &|u| list.next_cyclic(u),
+            &|u| labels[u as usize],
+            labels.len(),
             &mut cur,
             &mut alt,
             self.bound,
@@ -334,7 +354,7 @@ impl LabelSeq {
             &mut NoopObserver,
         );
         Self {
-            labels: cur,
+            labels: cur.par_iter().map(|&l| Word::from(l)).collect(),
             bound,
             variant: self.variant,
             rounds: self.rounds + k,
@@ -539,7 +559,7 @@ mod tests {
         assert_eq!(census256(&[]), 0);
         assert_eq!(census256(&[0, 0, 0]), 1);
         assert_eq!(census256(&[3, 7, 3, 255, 0, 7]), 4);
-        let many: Vec<Word> = (0..10_000).map(|i| i % 129).collect();
+        let many: Vec<u8> = (0..10_000).map(|i| (i % 129) as u8).collect();
         assert_eq!(census256(&many), 129);
     }
 
@@ -548,13 +568,15 @@ mod tests {
         let list = random_list(2000, 21);
         let n = list.len();
         for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
-            for rounds in [0u32, 1, 3, 7] {
+            for rounds in [1u32, 3, 7] {
                 let suc = |u: NodeId| list.next_cyclic(u);
-                let mut plain: Vec<Word> = (0..n as Word).collect();
-                let mut obs_run = plain.clone();
+                let first = |u: NodeId| Word::from(u);
+                let (mut plain, mut obs_run) = (Vec::new(), Vec::new());
                 let (mut alt_a, mut alt_b) = (Vec::new(), Vec::new());
                 let b1 = relabel_rounds(
                     &suc,
+                    &first,
+                    n,
                     &mut plain,
                     &mut alt_a,
                     n as Word,
@@ -565,6 +587,8 @@ mod tests {
                 let mut rec = crate::obs::Recorder::new();
                 let b2 = relabel_rounds(
                     &suc,
+                    &first,
+                    n,
                     &mut obs_run,
                     &mut alt_b,
                     n as Word,
@@ -577,13 +601,103 @@ mod tests {
                 let rec = rec.finish();
                 assert!(rec.all_bounds_hold(), "{}", rec.render());
                 assert_eq!(rec.find("rounds"), Some(u64::from(rounds)));
-                if rounds > 0 {
-                    // Lemma 1: first-round census audited against 2⌈log₂ n⌉.
-                    let a = &rec.audits()[0];
-                    assert_eq!(a.bound, 2 * u64::from(ilog2_ceil(n as Word)));
-                }
+                // Lemma 1: first-round census audited against 2⌈log₂ n⌉.
+                let a = &rec.audits()[0];
+                assert_eq!(a.bound, 2 * u64::from(ilog2_ceil(n as Word)));
+                assert_eq!(
+                    rec.find("bytes_touched"),
+                    Some(crate::obs::relabel_bytes(n, rounds))
+                );
             }
         }
+    }
+
+    #[test]
+    fn byte_kernel_narrows_wide_labels() {
+        // Round 1 reads 64-bit labels through the first-label function
+        // and writes bytes; every later round runs on bytes. Half the
+        // labels sit just below u64::MAX and half are small, so pairs
+        // differ anywhere from bit 0 to bit 63 and round 1 produces
+        // values up to 2·63 + 1.
+        let list = random_list(3001, 23);
+        let n = list.len() as Word;
+        let wide: Vec<Word> = (0..n)
+            .map(|v| if v % 2 == 0 { u64::MAX - 1 - v } else { v })
+            .collect();
+        for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
+            let l0 = LabelSeq::from_labels(wide.clone(), u64::MAX, variant);
+            assert_eq!(l0.width_bits(), 64);
+            let mut chained = l0.clone();
+            for k in 1..=6 {
+                chained = chained.relabel(&list);
+                let kernel = l0.relabel_k(&list, k);
+                assert_eq!(kernel, chained, "k = {k} {variant:?}");
+                assert!(kernel.max_label() <= 128);
+                assert!(kernel.adjacent_distinct(&list));
+            }
+        }
+    }
+
+    #[test]
+    fn zero_round_kernel_writes_first_labels() {
+        // n = 2..=7 converge in zero rounds: the kernel narrows the
+        // address labels to bytes unchanged, observed or not.
+        for n in 2usize..=7 {
+            assert_eq!(convergence_rounds(n as Word), 0, "n = {n}");
+            let list = sequential_list(n);
+            let suc = |u: NodeId| list.next_cyclic(u);
+            let first = |u: NodeId| Word::from(u);
+            let (mut cur, mut alt) = (vec![99u8; 3], Vec::new());
+            let b = relabel_rounds(
+                &suc,
+                &first,
+                n,
+                &mut cur,
+                &mut alt,
+                n as Word,
+                0,
+                CoinVariant::Msb,
+                &mut NoopObserver,
+            );
+            assert_eq!(b, n as Word);
+            let want: Vec<u8> = (0..n as u8).collect();
+            assert_eq!(cur, want, "n = {n}");
+            let mut rec = crate::obs::Recorder::new();
+            let (mut observed, mut alt) = (Vec::new(), Vec::new());
+            let b = relabel_rounds(
+                &suc,
+                &first,
+                n,
+                &mut observed,
+                &mut alt,
+                n as Word,
+                0,
+                CoinVariant::Msb,
+                &mut rec,
+            );
+            assert_eq!((b, &observed), (n as Word, &want));
+            let rec = rec.finish();
+            assert_eq!(rec.find("rounds"), Some(0));
+            assert_eq!(rec.find("bytes_touched"), Some(n as u64));
+            assert!(rec.audits().is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fit a byte")]
+    fn zero_round_kernel_rejects_wide_labels() {
+        let list = sequential_list(2);
+        relabel_rounds(
+            &|u: NodeId| list.next_cyclic(u),
+            &|u: NodeId| 256 + Word::from(u),
+            2,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            258,
+            0,
+            CoinVariant::Msb,
+            &mut NoopObserver,
+        );
     }
 
     #[test]

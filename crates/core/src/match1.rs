@@ -58,7 +58,6 @@ pub(crate) fn run<O: Observer>(
     }
     ws.prepare_next_cyc(list);
     ws.prepare_pred(list);
-    ws.prepare_address_labels(n);
     let Workspace {
         next_cyc,
         pred,
@@ -76,6 +75,8 @@ pub(crate) fn run<O: Observer>(
     obs.counter("n", n as u64);
     let bound = relabel_rounds(
         &|u: NodeId| next_cyc[u as usize],
+        &|u: NodeId| Word::from(u),
+        n,
         labels_a,
         labels_b,
         n as Word,
@@ -88,8 +89,8 @@ pub(crate) fn run<O: Observer>(
     }
     let matching = from_labels_core(list, labels_a, pred, cut, mask, matched, bound, obs);
     if O::ENABLED {
-        // n per relabel round, plus the finisher's four passes (cut,
-        // walk, matched scatter, final mask).
+        // n per relabel round, plus the finisher's four per-node steps
+        // (cut, walk, matched marks, final mask).
         let wu = n as u64 * u64::from(rounds) + 4 * n as u64;
         obs.bounded("work_units", wu, (u64::from(g) + 6) * n as u64 + 64);
         obs.counter("work_per_node_x100", wu * 100 / n as u64);
@@ -157,6 +158,27 @@ mod tests {
         let list = sequential_list(2);
         let out = match1(&list, CoinVariant::Msb);
         assert_eq!(out.matching.len(), 1);
+    }
+
+    #[test]
+    fn zero_round_lists_match_the_reference() {
+        // n = 2..=7 (and 9) converge in zero rounds: the byte kernel
+        // writes the address labels unchanged and the finisher cuts on
+        // them.
+        use crate::finish::from_labels;
+        use crate::labels::LabelSeq;
+        let mut ws = Workspace::new();
+        for n in (2usize..=7).chain([9]) {
+            for seed in 0..4 {
+                let list = random_list(n, seed);
+                let out = run(&list, CoinVariant::Msb, &mut ws, &mut NoopObserver);
+                assert_eq!(out.rounds, 0, "n = {n}");
+                let labels = LabelSeq::initial(&list, CoinVariant::Msb);
+                assert_eq!(out.matching, from_labels(&list, labels.labels()), "n = {n}");
+                assert_eq!(out.final_bound, n as u64);
+                verify::assert_maximal_matching(&list, &out.matching);
+            }
+        }
     }
 
     #[test]

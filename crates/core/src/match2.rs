@@ -18,12 +18,11 @@ use crate::finish::greedy_core;
 use crate::labels::relabel_rounds;
 use crate::matching::Matching;
 use crate::obs::Observer;
-use crate::partition::{PointerSets, NO_POINTER};
-use crate::workspace::{Workspace, CHUNK};
+use crate::partition::{project_sets, PointerSets};
+use crate::workspace::Workspace;
 use crate::CoinVariant;
 use parmatch_bits::Word;
-use parmatch_list::{LinkedList, NodeId, NIL};
-use rayon::prelude::*;
+use parmatch_list::{LinkedList, NodeId};
 
 /// Result of a Match2 run.
 #[derive(Debug, Clone)]
@@ -65,7 +64,6 @@ pub(crate) fn run<O: Observer>(
         };
     }
     ws.prepare_next_cyc(list);
-    ws.prepare_address_labels(n);
     let Workspace {
         next_cyc,
         labels_a,
@@ -82,6 +80,8 @@ pub(crate) fn run<O: Observer>(
     obs.counter("n", n as u64);
     let bound = relabel_rounds(
         &|u: NodeId| next_cyc[u as usize],
+        &|u: NodeId| Word::from(u),
+        n,
         labels_a,
         labels_b,
         n as Word,
@@ -89,18 +89,8 @@ pub(crate) fn run<O: Observer>(
         variant,
         obs,
     );
-    let labels: &[Word] = labels_a;
-    let set: Vec<Word> = (0..n)
-        .into_par_iter()
-        .with_min_len(CHUNK)
-        .map(|v| {
-            if list.next_raw(v as NodeId) == NIL {
-                NO_POINTER
-            } else {
-                labels[v]
-            }
-        })
-        .collect();
+    let mut set = vec![0; n];
+    project_sets(list, labels_a, &mut set);
     let partition = PointerSets::from_raw(set, bound, rounds);
     if O::ENABLED {
         obs.bounded("distinct_sets", partition.distinct_sets() as u64, bound);

@@ -22,11 +22,10 @@ use crate::labels::relabel_rounds;
 use crate::matching::Matching;
 use crate::obs::Observer;
 use crate::table::TableError;
-use crate::workspace::{Workspace, CHUNK};
+use crate::workspace::{par_fill, Workspace};
 use crate::CoinVariant;
 use parmatch_bits::{g_of, ilog2_ceil, Word};
 use parmatch_list::{LinkedList, NodeId};
-use rayon::prelude::*;
 
 /// Tuning of Match3.
 #[derive(Debug, Clone, Copy)]
@@ -63,6 +62,12 @@ pub enum Match3Error {
     Table(TableError),
     /// `crunch_rounds` was zero.
     NoCrunch,
+    /// `jump_rounds` was so large that the window length `2^j` or the
+    /// table index width `w·2^j` overflows 32 bits.
+    JumpRounds {
+        /// The requested jump rounds `j`.
+        jump_rounds: u32,
+    },
 }
 
 impl std::fmt::Display for Match3Error {
@@ -70,6 +75,11 @@ impl std::fmt::Display for Match3Error {
         match self {
             Match3Error::Table(e) => write!(f, "lookup table: {e}"),
             Match3Error::NoCrunch => write!(f, "crunch_rounds must be ≥ 1"),
+            Match3Error::JumpRounds { jump_rounds } => write!(
+                f,
+                "jump_rounds = {jump_rounds}: a window of 2^{jump_rounds} labels \
+                 overflows a 32-bit table index"
+            ),
         }
     }
 }
@@ -80,6 +90,33 @@ impl From<TableError> for Match3Error {
     fn from(e: TableError) -> Self {
         Match3Error::Table(e)
     }
+}
+
+/// Jump rounds `j` and window length `m = 2^j` for crunched labels of
+/// `w` bits on an `n`-node list: the configured `j`, or else the
+/// largest `j ≤ ⌈log₂ G(n)⌉` whose table index (`w·2^j` bits) fits
+/// `max_table_bits`. On success `w·m` fits a `u32`; a configured `j`
+/// for which `2^j` or `w·2^j` overflows is [`Match3Error::JumpRounds`].
+pub(crate) fn jump_plan(
+    config: &Match3Config,
+    n: usize,
+    w: u32,
+) -> Result<(u32, u32), Match3Error> {
+    let j = match config.jump_rounds {
+        Some(j) => j,
+        None => {
+            let want = ilog2_ceil(Word::from(g_of(n as Word).max(1))).max(1);
+            let mut j = want;
+            while j > 1 && w * (1 << j) > config.max_table_bits {
+                j -= 1;
+            }
+            j
+        }
+    };
+    1u32.checked_shl(j)
+        .filter(|&m| w.checked_mul(m).is_some())
+        .map(|m| (j, m))
+        .ok_or(Match3Error::JumpRounds { jump_rounds: j })
 }
 
 /// Result of a Match3 run.
@@ -132,7 +169,6 @@ pub(crate) fn run<O: Observer>(
 
     ws.prepare_next_cyc(list);
     ws.prepare_pred(list);
-    ws.prepare_address_labels(n);
 
     // Step 2: crunch.
     obs.enter("match3");
@@ -147,6 +183,8 @@ pub(crate) fn run<O: Observer>(
         let next_cyc: &[NodeId] = next_cyc;
         relabel_rounds(
             &|u: NodeId| next_cyc[u as usize],
+            &|u: NodeId| Word::from(u),
+            n,
             labels_a,
             labels_b,
             n as Word,
@@ -157,26 +195,18 @@ pub(crate) fn run<O: Observer>(
     };
     let w = ilog2_ceil(crunch_bound).max(1);
 
-    // Pick j: ≈ log G(n), capped so the table index (w·2^j bits) fits.
-    let j = match config.jump_rounds {
-        Some(j) => j,
-        None => {
-            let want = ilog2_ceil(Word::from(g_of(n as Word).max(1))).max(1);
-            let mut j = want;
-            while j > 1 && w * (1 << j) > config.max_table_bits {
-                j -= 1;
-            }
-            j
-        }
-    };
-    let m = 1u32 << j; // window length
+    let (j, m) = jump_plan(&config, n, w)?;
+    let window_bits = w * m;
+    // The table rejects index widths of 32 bits or more, so once it is
+    // built every window fits the u32 buffers below.
     ws.table_ensure(w, m, config.variant, config.max_table_bits)?;
 
     let Workspace {
         next_cyc,
         pred,
         labels_a,
-        labels_b,
+        win_a,
+        win_b,
         nxt_a,
         nxt_b,
         cut,
@@ -189,38 +219,27 @@ pub(crate) fn run<O: Observer>(
 
     // Step 3: pointer-jumping concatenation along the *cyclic* order (so
     // windows near the tail wrap to the head, keeping the label sequence
-    // adjacent-distinct — see crate::table).
-    nxt_a.clone_from(next_cyc);
+    // adjacent-distinct — see crate::table). Round 1 reads the byte
+    // labels and the successor array; later rounds read the previous
+    // round's windows and jump pointers.
+    win_a.resize(n, 0);
+    win_b.resize(n, 0);
+    nxt_a.resize(n, 0);
     nxt_b.resize(n, 0);
     let mut width = w;
-    for _ in 0..j {
-        {
-            let la: &[Word] = labels_a;
-            let nx: &[NodeId] = nxt_a;
-            labels_b
-                .par_chunks_mut(CHUNK)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    let base = ci * CHUNK;
-                    for (i, slot) in chunk.iter_mut().enumerate() {
-                        let v = base + i;
-                        *slot = (la[v] << width) | la[nx[v] as usize];
-                    }
-                });
+    for t in 0..j {
+        let nx: &[NodeId] = if t == 0 { next_cyc } else { nxt_a };
+        if t == 0 {
+            let la: &[u8] = labels_a;
+            par_fill(win_b, |v| {
+                (u32::from(la[v]) << width) | u32::from(la[nx[v] as usize])
+            });
+        } else {
+            let wa: &[u32] = win_a;
+            par_fill(win_b, |v| (wa[v] << width) | wa[nx[v] as usize]);
         }
-        {
-            let nx: &[NodeId] = nxt_a;
-            nxt_b
-                .par_chunks_mut(CHUNK)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    let base = ci * CHUNK;
-                    for (i, slot) in chunk.iter_mut().enumerate() {
-                        *slot = nx[nx[base + i] as usize];
-                    }
-                });
-        }
-        std::mem::swap(labels_a, labels_b);
+        par_fill(nxt_b, |v| nx[nx[v] as usize]);
+        std::mem::swap(win_a, win_b);
         std::mem::swap(nxt_a, nxt_b);
         width *= 2;
     }
@@ -232,24 +251,17 @@ pub(crate) fn run<O: Observer>(
         obs.exit();
     }
 
-    // Step 4: one probe each.
+    // Step 4: one probe each, written back as byte labels.
     {
-        let la: &[Word] = labels_a;
-        labels_b
-            .par_chunks_mut(CHUNK)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let base = ci * CHUNK;
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = table.probe(la[base + i]);
-                }
-            });
+        let wa: &[u32] = win_a;
+        par_fill(labels_a, |v| {
+            u8::try_from(table.probe(Word::from(wa[v]))).expect("table values fit a byte")
+        });
     }
-    std::mem::swap(labels_a, labels_b);
     if O::ENABLED {
         obs.enter("probe");
         obs.counter("probes", n as u64);
-        obs.counter("table_bits", u64::from(w * m));
+        obs.counter("table_bits", u64::from(window_bits));
         obs.counter("value_bound", table.value_bound());
         obs.exit();
     }
@@ -281,7 +293,7 @@ pub(crate) fn run<O: Observer>(
         matching,
         crunch_rounds: config.crunch_rounds,
         jump_rounds: j,
-        table_bits: w * m,
+        table_bits: window_bits,
         final_bound: table.value_bound(),
     })
 }
@@ -383,6 +395,60 @@ mod tests {
         let list = sequential_list(2);
         let out = match3(&list, Match3Config::default()).unwrap();
         assert_eq!(out.matching.len(), 1);
+    }
+
+    /// Match3 by its definition, with no table: crunch with chained
+    /// `LabelSeq::relabel`, fold each node's cyclic window of `2^j`
+    /// crunched labels, then Match1 steps 3–4 on the folded labels.
+    fn match3_by_definition(
+        list: &LinkedList,
+        crunch: u32,
+        j: u32,
+        variant: CoinVariant,
+    ) -> Matching {
+        use crate::labels::LabelSeq;
+        use crate::table::fold_value;
+        let mut l = LabelSeq::initial(list, variant);
+        for _ in 0..crunch {
+            l = l.relabel(list);
+        }
+        let w = l.width_bits();
+        let folded: Vec<Word> = (0..list.len() as NodeId)
+            .map(|v| {
+                let mut window = Vec::with_capacity(1 << j);
+                let mut u = v;
+                for _ in 0..1u32 << j {
+                    window.push(l.labels()[u as usize]);
+                    u = list.next_cyclic(u);
+                }
+                fold_value(&window, w, variant)
+            })
+            .collect();
+        crate::finish::from_labels(list, &folded)
+    }
+
+    #[test]
+    fn widest_table_budget_matches_definition() {
+        // max_table_bits = 31 is the widest budget a u32 window can
+        // index. The default crunch leaves 4-bit labels; one crunch
+        // round on 2^10 nodes leaves 5-bit labels, so four-label windows
+        // are 20 bits wide.
+        let list = random_list(1 << 10, 5);
+        for (crunch, jump, bits) in [(3, None, 16), (1, Some(2), 20)] {
+            for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
+                let cfg = Match3Config {
+                    crunch_rounds: crunch,
+                    jump_rounds: jump,
+                    max_table_bits: 31,
+                    variant,
+                };
+                let out = match3(&list, cfg).unwrap();
+                assert_eq!(out.table_bits, bits, "crunch {crunch}");
+                let want = match3_by_definition(&list, crunch, out.jump_rounds, variant);
+                assert_eq!(out.matching, want, "crunch {crunch} {variant:?}");
+                verify::assert_maximal_matching(&list, &out.matching);
+            }
+        }
     }
 
     #[test]

@@ -24,14 +24,14 @@ use crate::finish::{greedy_by_sets, greedy_core};
 use crate::labels::relabel_rounds;
 use crate::matching::Matching;
 use crate::obs::Observer;
-use crate::partition::{PointerSets, NO_POINTER};
+use crate::partition::{project_sets, PointerSets, NO_POINTER};
 use crate::walkdown::{color_pointers, walkdown1, walkdown2, Grid, UNCOLORED};
 use crate::workspace::{Workspace, CHUNK};
 use crate::CoinVariant;
 use parmatch_bits::{ilog2_ceil, Word};
-use parmatch_list::{LinkedList, NodeId, NIL};
+use parmatch_list::{LinkedList, NodeId};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
 /// Result of a Match4 run, with the grid's vital signs.
 #[derive(Debug, Clone)]
@@ -83,7 +83,6 @@ pub(crate) fn run<O: Observer>(
     }
     ws.prepare_next_cyc(list);
     ws.prepare_pred(list);
-    ws.prepare_address_labels(n);
     ws.reset_colors(n);
     let Workspace {
         next_cyc,
@@ -110,6 +109,8 @@ pub(crate) fn run<O: Observer>(
     obs.counter("n", n as u64);
     let bound = relabel_rounds(
         &|u: NodeId| next_cyc[u as usize],
+        &|u: NodeId| Word::from(u),
+        n,
         labels_a,
         labels_b,
         n as Word,
@@ -118,22 +119,7 @@ pub(crate) fn run<O: Observer>(
         obs,
     );
     sets.resize(n, 0);
-    {
-        let labels: &[Word] = labels_a;
-        sets.par_chunks_mut(CHUNK)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let base = ci * CHUNK;
-                for (k, slot) in chunk.iter_mut().enumerate() {
-                    let v = (base + k) as NodeId;
-                    *slot = if list.next_raw(v) == NIL {
-                        NO_POINTER
-                    } else {
-                        labels[base + k]
-                    };
-                }
-            });
-    }
+    project_sets(list, labels_a, sets);
 
     // Distinct sets of the step-1 partition (diagnostic), via per-chunk
     // bitmasks in the histogram scratch — bound ≤ 2·64 + 1 < 256 bits.
@@ -193,7 +179,7 @@ pub(crate) fn run<O: Observer>(
         );
         obs.exit();
     }
-    let pred: &[NodeId] = pred;
+    let pred: &[AtomicU32] = pred;
     let colors: &[AtomicU8] = colors;
     let r1 = walkdown1(list, grid, pred, colors, obs);
     let r2 = walkdown2(list, grid, pred, colors, walk_state, obs);

@@ -1,5 +1,6 @@
 //! Matching representation.
 
+use crate::workspace::par_fill;
 use parmatch_list::{LinkedList, NodeId, Pointer, NIL};
 use rayon::prelude::*;
 
@@ -50,6 +51,28 @@ impl Matching {
             .all(|(v, &m)| !m || list.next_raw(v as NodeId) != NIL));
         let _ = list;
         Self { in_matching: mask }
+    }
+
+    /// Build the mask in place, `mask[v] := marked(v)` in parallel
+    /// chunks, with [`Self::from_mask`]'s check inside the same pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `marked` marks a node with no outgoing pointer.
+    pub(crate) fn from_marks<F>(list: &LinkedList, marked: F) -> Self
+    where
+        F: Fn(usize) -> bool + Sync,
+    {
+        let mut mask = vec![false; list.len()];
+        par_fill(&mut mask, |v| {
+            let m = marked(v);
+            assert!(
+                !m || list.next_raw(v as NodeId) != NIL,
+                "node {v} has no outgoing pointer but is marked matched"
+            );
+            m
+        });
+        Self::from_mask_unchecked(list, mask)
     }
 
     /// Is pointer `<v, suc(v)>` matched?
@@ -146,6 +169,20 @@ mod tests {
         let l = chain5();
         let m = Matching::from_mask(&l, vec![false, true, false, false, false]);
         assert_eq!(m.matched_nodes(&l), vec![false, true, true, false, false]);
+    }
+
+    #[test]
+    fn from_marks_equals_from_mask() {
+        let l = chain5();
+        let mask = vec![true, false, true, false, false];
+        let m = Matching::from_marks(&l, |v| mask[v]);
+        assert_eq!(m, Matching::from_mask(&l, mask));
+    }
+
+    #[test]
+    #[should_panic(expected = "no outgoing pointer")]
+    fn from_marks_keeps_the_pointer_check() {
+        Matching::from_marks(&chain5(), |v| v == 4);
     }
 
     #[test]

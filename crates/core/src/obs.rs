@@ -418,11 +418,18 @@ pub fn record_pram_trace<O: Observer>(
     obs.exit();
 }
 
-/// Bytes moved by `rounds` relabel rounds over `n` nodes: each
-/// round reads the current labels (8n), gathers successor labels (8n),
-/// reads the successor pointers (4n), and writes the new labels (8n).
+/// Bytes moved by `rounds` byte-label relabel rounds over `n` nodes.
+/// Round 1 computes both labels from the first-label function, so it
+/// reads the successor pointers (4n) and writes the new labels (n);
+/// every later round also reads the current labels (n) and gathers the
+/// successor labels (n), 7n in all. Zero rounds write the first labels
+/// (n).
 pub(crate) fn relabel_bytes(n: usize, rounds: u32) -> u64 {
-    28 * n as u64 * u64::from(rounds)
+    let n = n as u64;
+    match rounds {
+        0 => n,
+        r => 5 * n + 7 * n * u64::from(r - 1),
+    }
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 //! new label of its tail.
 
 use crate::labels::LabelSeq;
+use crate::workspace::par_fill;
 use crate::CoinVariant;
 use parmatch_bits::Word;
 use parmatch_list::{LinkedList, NodeId, NIL};
@@ -31,6 +32,19 @@ pub struct PointerSets {
 
 /// Marker for "no outgoing pointer" in [`PointerSets::set_of`].
 pub const NO_POINTER: Word = Word::MAX;
+
+/// `sets[v] :=` the byte label of `v`, or [`NO_POINTER`] at the tail:
+/// the native pipeline's set projection, in place and in parallel
+/// chunks.
+pub(crate) fn project_sets(list: &LinkedList, labels: &[u8], sets: &mut [Word]) {
+    par_fill(sets, |v| {
+        if list.next_raw(v as NodeId) == NIL {
+            NO_POINTER
+        } else {
+            Word::from(labels[v])
+        }
+    });
+}
 
 impl PointerSets {
     /// Build the pointer partition from a labelling with ≥ 1 round:

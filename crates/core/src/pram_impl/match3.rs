@@ -23,10 +23,10 @@ use super::{
     broadcast_copies, cut_and_walk_finish, dense_for, init_labels, load_list, mask_from_region,
     relabel_k_rounds, LabelBuffers,
 };
-use crate::match3::{Match3Config, Match3Error};
+use crate::match3::{jump_plan, Match3Config, Match3Error};
 use crate::matching::Matching;
 use crate::table::TupleTable;
-use parmatch_bits::{g_of, ilog2_ceil};
+use parmatch_bits::ilog2_ceil;
 use parmatch_list::LinkedList;
 use parmatch_pram::{ExecMode, Machine, Model, PramError, Stats, Word};
 
@@ -120,18 +120,7 @@ pub fn match3_pram(
     let w = ilog2_ceil(bound).max(1);
 
     // Pick j as in the native implementation.
-    let j = match config.jump_rounds {
-        Some(j) => j,
-        None => {
-            let want = ilog2_ceil(Word::from(g_of(n as Word).max(1))).max(1);
-            let mut j = want;
-            while j > 1 && w * (1 << j) > config.max_table_bits {
-                j -= 1;
-            }
-            j
-        }
-    };
-    let m_args = 1u32 << j;
+    let (j, m_args) = jump_plan(&config, n, w)?;
     let table = TupleTable::build(w, m_args, config.variant, config.max_table_bits)
         .map_err(Match3Error::Table)?;
 

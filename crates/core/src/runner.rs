@@ -525,6 +525,46 @@ mod tests {
     }
 
     #[test]
+    fn try_run_rejects_overflowing_jump_rounds() {
+        // 2^j overflows u32 for j ≥ 32; with the default crunch (4-bit
+        // labels) w·2^j overflows from j = 30. Both are typed errors in
+        // every build profile, from the native and the PRAM pipeline.
+        let list = random_list(300, 4);
+        for j in [30u32, 31, 32, 40, u32::MAX] {
+            let config = Match3Config {
+                jump_rounds: Some(j),
+                ..Match3Config::default()
+            };
+            let err = Runner::new(Algorithm::Match3)
+                .config(config)
+                .try_run(&list)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                RunnerError::Match3(Match3Error::JumpRounds { jump_rounds: j }),
+                "j = {j}"
+            );
+            assert!(err.to_string().contains("jump_rounds"), "{err}");
+            let pram =
+                crate::pram_impl::match3_pram(&list, 4, config, parmatch_pram::ExecMode::Fast);
+            assert!(pram.is_err(), "pram j = {j}");
+        }
+        // Below the overflow the table budget still decides.
+        let config = Match3Config {
+            jump_rounds: Some(29),
+            ..Match3Config::default()
+        };
+        let err = Runner::new(Algorithm::Match3)
+            .config(config)
+            .try_run(&list)
+            .unwrap_err();
+        assert!(
+            matches!(err, RunnerError::Match3(Match3Error::Table(_))),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn try_run_rejects_zero_rounds_and_levels() {
         let list = random_list(100, 2);
         let err = Runner::new(Algorithm::Match2)

@@ -31,7 +31,7 @@
 
 use crate::obs::{NoopObserver, Observer};
 use crate::partition::{PointerSets, NO_POINTER};
-use crate::workspace::CHUNK;
+use crate::workspace::{fill_pred, CHUNK};
 use parmatch_bits::Word;
 use parmatch_list::{LinkedList, NodeId, NIL};
 use rayon::prelude::*;
@@ -244,12 +244,12 @@ impl Grid {
 #[inline]
 fn pick_color(
     list: &LinkedList,
-    pred: &[NodeId],
+    pred: &[AtomicU32],
     colors: &[AtomicU8],
     v: NodeId,
     head: NodeId,
 ) -> u8 {
-    let left = match pred[v as usize] {
+    let left = match pred[v as usize].load(Ordering::Relaxed) {
         NIL => UNCOLORED,
         u => colors[u as usize].load(Ordering::Relaxed),
     };
@@ -273,7 +273,7 @@ fn pick_color(
 pub(crate) fn walkdown1<O: Observer>(
     list: &LinkedList,
     grid: &Grid,
-    pred: &[NodeId],
+    pred: &[AtomicU32],
     colors: &[AtomicU8],
     obs: &mut O,
 ) -> usize {
@@ -311,7 +311,7 @@ pub(crate) fn walkdown1<O: Observer>(
 pub(crate) fn walkdown2<O: Observer>(
     list: &LinkedList,
     grid: &Grid,
-    pred: &[NodeId],
+    pred: &[AtomicU32],
     colors: &[AtomicU8],
     state: &mut Vec<(usize, Word)>,
     obs: &mut O,
@@ -370,7 +370,8 @@ fn count_colored(colors: &[AtomicU8]) -> u64 {
 /// plain `u8` array (tail slot left [`UNCOLORED`]), plus the total
 /// number of lockstep rounds.
 pub fn color_pointers(list: &LinkedList, grid: &Grid) -> (Vec<u8>, usize) {
-    let pred = list.pred_array();
+    let mut pred = Vec::new();
+    fill_pred(list, &mut pred);
     let colors: Vec<AtomicU8> = (0..list.len()).map(|_| AtomicU8::new(UNCOLORED)).collect();
     let r1 = walkdown1(list, grid, &pred, &colors, &mut NoopObserver);
     let r2 = walkdown2(

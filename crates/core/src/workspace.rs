@@ -8,15 +8,21 @@
 //! size is unchanged) and refilled in parallel, so a rerun allocates no
 //! per-node scratch.
 //!
-//! A rerun is not allocation-free. It allocates its outputs, and the
-//! rayon shim adds bookkeeping bounded by the thread count: a few small
-//! allocations per part of each parallel pass, and a second copy of
-//! every output built by its ordered `collect` (per-part vectors, then
-//! their concatenation). A `Runner` run therefore allocates about twice
-//! its returned `Matching` (plus twice the `PointerSets` for Match2);
-//! a fused batch writes its masks in place and allocates them once. The
-//! counting-allocator test `tests/alloc_steady_state.rs` asserts that
-//! the bytes beyond those copies do not grow with `n`.
+//! A rerun is not allocation-free. It allocates its outputs once each
+//! — the returned `Matching` mask (plus the `PointerSets` for Match2),
+//! written in place with `par_chunks_mut` rather than gathered by the
+//! rayon shim's ordered `collect`, which would copy it twice — and the
+//! shim adds bookkeeping bounded by the thread count: a few small
+//! allocations per part of each parallel pass. The counting-allocator
+//! test `tests/alloc_steady_state.rs` asserts that the bytes beyond one
+//! copy of the outputs do not grow with `n`.
+//!
+//! Labels are bytes. Lemma 1 bounds every label after one application
+//! of `f` by `2·64 + 1 = 129`, so the relabel kernel computes round 1
+//! from a first-label function (the node id, or a fused job's local
+//! address) and stores only `u8` labels; Match3's pointer-jumping
+//! windows, which concatenate labels up to the table's index width
+//! (< 32 bits), have their own `u32` buffers.
 //!
 //! The crate forbids `unsafe`, so buffers that are written by parallel
 //! *scatters* (predecessor inversion, walk marks, bucket placement) are
@@ -56,14 +62,20 @@ pub(crate) const CHUNK: usize = 1 << 13;
 pub struct Workspace {
     /// Cached cyclic-successor array (branch-free `suc`).
     pub(crate) next_cyc: Vec<NodeId>,
-    /// Scatter target for predecessor inversion.
-    pub(crate) pred_atomic: Vec<AtomicU32>,
-    /// Plain predecessor array (copied out of `pred_atomic`).
-    pub(crate) pred: Vec<NodeId>,
+    /// Predecessor array, filled by a parallel scatter and read with
+    /// `Relaxed` loads.
+    pub(crate) pred: Vec<AtomicU32>,
     /// Label double buffer A (holds the result after relabel rounds).
-    pub(crate) labels_a: Vec<Word>,
+    pub(crate) labels_a: Vec<u8>,
     /// Label double buffer B.
-    pub(crate) labels_b: Vec<Word>,
+    pub(crate) labels_b: Vec<u8>,
+    /// Match3 label-window double buffer A.
+    pub(crate) win_a: Vec<u32>,
+    /// Match3 label-window double buffer B.
+    pub(crate) win_b: Vec<u32>,
+    /// Fused batch: each node's job-local address, the relabel
+    /// kernel's first label.
+    pub(crate) local_ids: Vec<NodeId>,
     /// Match3 jump-pointer double buffer A.
     pub(crate) nxt_a: Vec<NodeId>,
     /// Match3 jump-pointer double buffer B.
@@ -100,11 +112,44 @@ pub struct Workspace {
     pub(crate) table_cache: Option<((u32, u32, CoinVariant, u32), TupleTable)>,
 }
 
+/// `out[i] := value(i)` for every slot, in parallel chunks of [`CHUNK`].
+#[inline]
+pub(crate) fn par_fill<T, F>(out: &mut [T], value: F)
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    out.par_chunks_mut(CHUNK)
+        .enumerate()
+        .for_each(|(ci, chunk)| {
+            let base = ci * CHUNK;
+            for (i, slot) in chunk.iter_mut().enumerate() {
+                *slot = value(base + i);
+            }
+        });
+}
+
 /// Size `v` to `n` slots, all `false` (reused allocations are cleared in
 /// parallel; `get_mut` needs no atomic ordering under `&mut`).
 pub(crate) fn reset_bools(v: &mut Vec<AtomicBool>, n: usize) {
     v.resize_with(n, || AtomicBool::new(false));
     v.par_iter_mut().for_each(|a| *a.get_mut() = false);
+}
+
+/// Size `pred` to `list` and fill it by a parallel atomic scatter
+/// (`pred[next[u]] := u`, unique writers); the head keeps [`NIL`].
+pub(crate) fn fill_pred(list: &LinkedList, pred: &mut Vec<AtomicU32>) {
+    let n = list.len();
+    pred.resize_with(n, || AtomicU32::new(NIL));
+    pred.par_iter_mut().for_each(|a| *a.get_mut() = NIL);
+    let next = list.next_array();
+    let pa: &[AtomicU32] = pred;
+    (0..n).into_par_iter().with_min_len(CHUNK).for_each(|u| {
+        let v = next[u];
+        if v != NIL {
+            pa[v as usize].store(u as NodeId, Ordering::Relaxed);
+        }
+    });
 }
 
 impl Workspace {
@@ -128,48 +173,9 @@ impl Workspace {
             });
     }
 
-    /// Fill `pred` for `list` via a parallel atomic scatter
-    /// (`pred[next[u]] := u`, unique writers).
+    /// Fill `pred` for `list`.
     pub(crate) fn prepare_pred(&mut self, list: &LinkedList) {
-        let n = list.len();
-        self.pred_atomic.resize_with(n, || AtomicU32::new(NIL));
-        self.pred_atomic
-            .par_iter_mut()
-            .for_each(|a| *a.get_mut() = NIL);
-        let next = list.next_array();
-        let pa = &self.pred_atomic;
-        (0..n).into_par_iter().with_min_len(CHUNK).for_each(|u| {
-            let v = next[u];
-            if v != NIL {
-                pa[v as usize].store(u as NodeId, Ordering::Relaxed);
-            }
-        });
-        self.pred.resize(n, NIL);
-        let pa = &self.pred_atomic;
-        self.pred
-            .par_chunks_mut(CHUNK)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let base = ci * CHUNK;
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = pa[base + i].load(Ordering::Relaxed);
-                }
-            });
-    }
-
-    /// Initialize `labels_a` with node addresses (and size `labels_b`).
-    pub(crate) fn prepare_address_labels(&mut self, n: usize) {
-        self.labels_a.resize(n, 0);
-        self.labels_b.resize(n, 0);
-        self.labels_a
-            .par_chunks_mut(CHUNK)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let base = ci * CHUNK;
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = (base + i) as Word;
-                }
-            });
+        fill_pred(list, &mut self.pred);
     }
 
     /// Fill `next_cyc` for a fused batch: job `j`'s nodes occupy
@@ -193,14 +199,13 @@ impl Workspace {
         });
     }
 
-    /// Initialize `labels_a` with each job's **local** addresses
-    /// (`labels[off + v] = v`), so every fused job starts from exactly
-    /// the label state its solo run would (and size `labels_b`).
-    pub(crate) fn prepare_batch_local_labels(&mut self, offsets: &[usize]) {
+    /// Fill `local_ids` for a fused batch: job `j`'s node `off + v`
+    /// gets its local address `v`, so every fused job starts from
+    /// exactly the labels its solo run would.
+    pub(crate) fn prepare_batch_local_ids(&mut self, offsets: &[usize]) {
         let total = *offsets.last().expect("offsets never empty");
-        self.labels_a.resize(total, 0);
-        self.labels_b.resize(total, 0);
-        let mut rest: &mut [Word] = &mut self.labels_a;
+        self.local_ids.resize(total, 0);
+        let mut rest: &mut [NodeId] = &mut self.local_ids;
         let mut slices = Vec::with_capacity(offsets.len() - 1);
         for j in 0..offsets.len() - 1 {
             let (head, tail) = rest.split_at_mut(offsets[j + 1] - offsets[j]);
@@ -209,7 +214,7 @@ impl Workspace {
         }
         slices.into_par_iter().for_each(|slot| {
             for (v, s) in slot.iter_mut().enumerate() {
-                *s = v as Word;
+                *s = v as NodeId;
             }
         });
     }
@@ -222,10 +227,12 @@ impl Workspace {
     /// arena behaves exactly like a fresh one at steady-state cost.
     pub fn scrub(&mut self) {
         self.next_cyc.clear();
-        self.pred_atomic.clear();
         self.pred.clear();
         self.labels_a.clear();
         self.labels_b.clear();
+        self.win_a.clear();
+        self.win_b.clear();
+        self.local_ids.clear();
         self.nxt_a.clear();
         self.nxt_b.clear();
         self.cut.clear();
