@@ -99,6 +99,30 @@ fn out_of_range_index_exits_2_with_invalid_error() {
 }
 
 #[test]
+fn untrusted_header_sizes_exit_2_with_typed_errors() {
+    // The header's n is checked against the NodeId range and never used
+    // to size an allocation before the entries are read.
+    for (n, want) in [
+        ("18446744073709551615", "exceeds the 4294967295 nodes"),
+        ("5000000000", "exceeds the 4294967295 nodes"),
+        ("4000000000", "2 entries for a 4000000000-node list"),
+    ] {
+        let path = write_temp(
+            &format!("huge-n-{n}.txt"),
+            &format!("parmatch-list v1\nn={n} head=0\n1\n-\n"),
+        );
+        let out = parmatch(&["match", "--input", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "n={n}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains("error:") && stderr.contains(want),
+            "n={n}: {stderr}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
 fn verify_faults_flag_runs_the_matrix() {
     let out = parmatch(&["verify", "--faults", "--n", "32", "--trials", "1"]);
     assert!(out.status.success(), "{out:?}");

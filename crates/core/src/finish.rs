@@ -111,7 +111,7 @@ pub fn from_labels(list: &LinkedList, labels: &[Word]) -> Matching {
 /// and one last pass writes the output mask in place. Marks — and
 /// therefore the matching — are bit-identical to [`from_labels`].
 ///
-/// An enabled [`Observer`] then replays the
+/// An [auditing](Observer::AUDITS) observer then replays the
 /// sublist structure left in the buffers (cut mask, walk marks) and
 /// records a `finish` span: cut pointers, sublist count, nodes walked
 /// (every node lies in exactly one sublist, so this totals `n`), walk
@@ -211,7 +211,7 @@ pub(crate) fn from_labels_core<O: Observer>(
                 && !matched_ref[v].load(Ordering::Relaxed)
                 && !matched_ref[list.next_raw(v as NodeId) as usize].load(Ordering::Relaxed))
     });
-    if O::ENABLED {
+    if O::AUDITS {
         observe_sublists(list, pred, cut, mask, &m, bound, obs);
     }
     m
@@ -271,27 +271,91 @@ fn observe_sublists<O: Observer>(
     obs.exit();
 }
 
+/// Chunked counting sort of the nodes `v` of `items` by
+/// `key(&items[v]) < keys`; nodes whose key is `None` are left out.
+/// Afterwards the nodes of key `k` sit in
+/// `nodes[starts[k]..starts[k + 1]]`, ascending, and `starts[keys]` is
+/// the number of bucketed nodes.
+///
+/// A per-chunk × per-key histogram, a (tiny, `chunks × keys`)
+/// sequential prefix pass turning counts into cursors, and a parallel
+/// placement scatter. `key` is evaluated twice per node, once per pass.
+pub(crate) fn bucket_by_key<T, K>(
+    items: &[T],
+    keys: usize,
+    key: &K,
+    nodes: &mut Vec<AtomicU32>,
+    hist: &mut Vec<usize>,
+    starts: &mut Vec<usize>,
+) where
+    T: Sync,
+    K: Fn(&T) -> Option<usize> + Sync,
+{
+    assert!(keys >= 1, "key bound must be positive");
+    let n = items.len();
+    nodes.resize_with(n, || AtomicU32::new(NIL));
+    let nchunks = n.div_ceil(CHUNK).max(1);
+    let chunk_of = |ci: usize| &items[ci * CHUNK..((ci + 1) * CHUNK).min(n)];
+    hist.clear();
+    hist.resize(nchunks * keys, 0);
+    hist.par_chunks_mut(keys).enumerate().for_each(|(ci, row)| {
+        for item in chunk_of(ci) {
+            if let Some(k) = key(item) {
+                row[k] += 1;
+            }
+        }
+    });
+
+    // Exclusive prefix in (key, chunk) order: afterwards hist[ci][k] is
+    // chunk ci's write cursor for key k, and starts[k] the bucket
+    // boundary.
+    starts.clear();
+    starts.resize(keys + 1, 0);
+    let mut acc = 0usize;
+    for k in 0..keys {
+        starts[k] = acc;
+        for ci in 0..nchunks {
+            let c = hist[ci * keys + k];
+            hist[ci * keys + k] = acc;
+            acc += c;
+        }
+    }
+    starts[keys] = acc;
+
+    let out: &[AtomicU32] = nodes;
+    hist.par_chunks_mut(keys)
+        .enumerate()
+        .for_each(|(ci, cursors)| {
+            for (v, item) in (ci * CHUNK..).zip(chunk_of(ci)) {
+                if let Some(k) = key(item) {
+                    out[cursors[k]].store(v as NodeId, Ordering::Relaxed);
+                    cursors[k] += 1;
+                }
+            }
+        });
+}
+
 /// The production form of [`greedy_by_sets`] (ascending set order
 /// only), run by the Match2 and Match4 bodies with all state in
-/// workspace buffers.
+/// workspace buffers. `set_of(&sets[v])` is the set of pointer
+/// `<v, suc v>`, `None` at the tail.
 ///
-/// Bucketing is a chunked counting sort: a per-chunk × per-set histogram,
-/// a (tiny, `chunks × bound`) sequential prefix pass turning counts into
-/// cursors, and a parallel placement scatter — nodes land grouped by set,
-/// ascending within each set, exactly as [`greedy_by_sets`] buckets them.
-/// The sweep then processes sets in ascending order; within one set the
-/// pointers are node-disjoint (a set is a matching), so the parallel
-/// adds touch disjoint `done` slots and the result is bit-identical to
-/// the sequential sweep.
+/// [`bucket_by_key`] groups the pointer tails by set, ascending within
+/// each set, exactly as [`greedy_by_sets`] buckets them. The sweep then
+/// processes sets in ascending order; within one set the pointers are
+/// node-disjoint (a set is a matching), so the parallel adds touch
+/// disjoint `done` slots and the result is bit-identical to the
+/// sequential sweep.
 ///
 /// An enabled [`Observer`] records a `sweep`
 /// span — the set count, the bucketed pointer total (= the counting
 /// sort's scatter writes, read off the bucket boundaries left in
 /// `set_starts`), and the matching size.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn greedy_core<O: Observer>(
+pub(crate) fn greedy_core<T, S, O: Observer>(
     list: &LinkedList,
-    sets: &[Word],
+    sets: &[T],
+    set_of: &S,
     bound: Word,
     done: &mut Vec<AtomicBool>,
     greedy_mask: &mut Vec<AtomicBool>,
@@ -299,57 +363,17 @@ pub(crate) fn greedy_core<O: Observer>(
     hist: &mut Vec<usize>,
     set_starts: &mut Vec<usize>,
     obs: &mut O,
-) -> Matching {
+) -> Matching
+where
+    T: Sync,
+    S: Fn(&T) -> Option<usize> + Sync,
+{
     let n = list.len();
     assert_eq!(sets.len(), n, "set array length mismatch");
     let b = bound as usize;
-    assert!(b >= 1, "set bound must be positive");
     reset_bools(done, n);
     reset_bools(greedy_mask, n);
-    bucket_nodes.resize_with(n, || AtomicU32::new(NIL));
-
-    let nchunks = n.div_ceil(CHUNK).max(1);
-    hist.clear();
-    hist.resize(nchunks * b, 0);
-    hist.par_chunks_mut(b).enumerate().for_each(|(ci, row)| {
-        let lo = ci * CHUNK;
-        let hi = ((ci + 1) * CHUNK).min(n);
-        for &s in &sets[lo..hi] {
-            if s != NO_POINTER {
-                row[s as usize] += 1;
-            }
-        }
-    });
-
-    // Exclusive prefix in (set, chunk) order: afterwards hist[ci][s] is
-    // chunk ci's write cursor for set s, and set_starts[s] the bucket
-    // boundary.
-    set_starts.clear();
-    set_starts.resize(b + 1, 0);
-    let mut acc = 0usize;
-    for s in 0..b {
-        set_starts[s] = acc;
-        for ci in 0..nchunks {
-            let c = hist[ci * b + s];
-            hist[ci * b + s] = acc;
-            acc += c;
-        }
-    }
-    set_starts[b] = acc;
-
-    let bn: &[AtomicU32] = bucket_nodes;
-    hist.par_chunks_mut(b)
-        .enumerate()
-        .for_each(|(ci, cursors)| {
-            let lo = ci * CHUNK;
-            let hi = ((ci + 1) * CHUNK).min(n);
-            for (off, &s) in sets[lo..hi].iter().enumerate() {
-                if s != NO_POINTER {
-                    bn[cursors[s as usize]].store((lo + off) as NodeId, Ordering::Relaxed);
-                    cursors[s as usize] += 1;
-                }
-            }
-        });
+    bucket_by_key(sets, b, set_of, bucket_nodes, hist, set_starts);
 
     let done_ref: &[AtomicBool] = done;
     let mask_ref: &[AtomicBool] = greedy_mask;

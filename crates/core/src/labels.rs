@@ -66,9 +66,9 @@ pub(crate) fn convergence_rounds(bound: Word) -> u32 {
 /// are below 9 for every list that converges in zero rounds).
 ///
 /// An enabled [`Observer`] also records a `relabel` span: one `round`
-/// child per round carrying the round's width, new bound and a
-/// [`census256`] of distinct labels audited against Lemma 1's `2w`,
-/// plus totals (`final_bound`, `bytes_touched`).
+/// child per round carrying the round's width, new bound and (when it
+/// [audits](Observer::AUDITS)) a [`census256`] of distinct labels
+/// audited against Lemma 1's `2w`, plus totals (`final_bound`, `bytes_touched`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn relabel_rounds<S, L, O: Observer>(
     suc: &S,
@@ -120,7 +120,9 @@ where
             obs.counter("k", u64::from(r + 1));
             obs.counter("width_bits", u64::from(w));
             obs.counter("bound", b);
-            obs.bounded("distinct_labels", census256(cur), 2 * u64::from(w));
+            if O::AUDITS {
+                obs.bounded("distinct_labels", census256(cur), 2 * u64::from(w));
+            }
             obs.exit();
         }
     }

@@ -18,7 +18,7 @@
 //! | [`matching`], [`verify`] | matching representation and checkers |
 //! | [`finish`] | Match1 steps 3–4 (cut at local minima, walk sublists) and the greedy set sweep of Match2 step 3 |
 //! | [`match1`]–[`match4`] | the four algorithms, rayon-native, run through [`Runner`] |
-//! | [`walkdown`] | WalkDown1 (Lemma 6) and WalkDown2 (Lemma 7 pipeline), public as [`walkdown::color_pointers`] |
+//! | [`walkdown`] | WalkDown1 (Lemma 6) and WalkDown2 (Lemma 7 pipeline) in lockstep, the reference [`walkdown::color_pointers`]; native Match4 runs them as a round schedule |
 //! | [`pram_impl`] | step-faithful simulator versions with exact PRAM step counts |
 //! | [`cost`] | the paper's analytic step-count and work predictions |
 //! | [`workspace`] | reusable per-node buffer arena, passed to [`Runner::workspace`] |

@@ -18,7 +18,7 @@ use crate::finish::greedy_core;
 use crate::labels::relabel_rounds;
 use crate::matching::Matching;
 use crate::obs::Observer;
-use crate::partition::{project_sets, PointerSets};
+use crate::partition::{project_sets, PointerSets, NO_POINTER};
 use crate::workspace::Workspace;
 use crate::CoinVariant;
 use parmatch_bits::Word;
@@ -92,12 +92,13 @@ pub(crate) fn run<O: Observer>(
     let mut set = vec![0; n];
     project_sets(list, labels_a, &mut set);
     let partition = PointerSets::from_raw(set, bound, rounds);
-    if O::ENABLED {
+    if O::AUDITS {
         obs.bounded("distinct_sets", partition.distinct_sets() as u64, bound);
     }
     let matching = greedy_core(
         list,
         partition.as_slice(),
+        &|&s: &Word| (s != NO_POINTER).then_some(s as usize),
         bound,
         done,
         greedy_mask,

@@ -11,8 +11,12 @@
 //!
 //! Total time `O(n·log i/p + log^(i) n + log i)` (Theorem 2); optimal
 //! with up to `p = n/log^(i) n` processors for any constant `i`
-//! (Theorem 1). The native form fixes `p = y` (one rayon task per
-//! column); the step-count form lives in
+//! (Theorem 1). The native form does not run the `3x − 1` lockstep
+//! passes over the `y` columns: Lemmas 6–7 give every pointer's round
+//! in closed form, so steps 2–4 become a counting sort into rows, a
+//! bucketing of the pointers by round and one sweep of the rounds in
+//! order (see [`crate::walkdown`] for the lockstep, kept as the
+//! reference). The step-count form lives in
 //! [`pram_impl`](crate::pram_impl).
 //!
 //! Step 1 here iterates `f` directly (`O(i·n/p)`, the Lemma 3 form);
@@ -20,16 +24,16 @@
 //! available by pre-partitioning with [`crate::table`] — the experiment
 //! drivers exercise both.
 
-use crate::finish::{greedy_by_sets, greedy_core};
+use crate::finish::{bucket_by_key, greedy_by_sets, greedy_core};
 use crate::labels::relabel_rounds;
 use crate::matching::Matching;
 use crate::obs::Observer;
-use crate::partition::{project_sets, PointerSets, NO_POINTER};
-use crate::walkdown::{color_pointers, walkdown1, walkdown2, Grid, UNCOLORED};
-use crate::workspace::{Workspace, CHUNK};
+use crate::partition::{PointerSets, NO_POINTER};
+use crate::walkdown::{color_pointers, pick_color, Grid, UNCOLORED};
+use crate::workspace::{par_fill, Workspace, CHUNK};
 use crate::CoinVariant;
 use parmatch_bits::{ilog2_ceil, Word};
-use parmatch_list::{LinkedList, NodeId};
+use parmatch_list::{LinkedList, NodeId, NIL};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
@@ -45,24 +49,46 @@ pub struct Match4Output {
     pub cols: usize,
     /// Distinct matching sets produced by step 1.
     pub distinct_sets: usize,
-    /// Lockstep rounds spent in WalkDown1 + WalkDown2 (`3x − 1`).
+    /// Lockstep rounds of WalkDown1 + WalkDown2 (`3x − 1`).
     pub walk_rounds: usize,
 }
 
+/// `round_of` value of the list tail, which has no pointer to color.
+const NO_ROUND: u16 = u16::MAX;
+
+/// Pointers per parallel part of one round's sweep. A round holds
+/// about `n/x` pointers (WalkDown2's rounds far fewer), so the plain
+/// [`CHUNK`] would leave most rounds on one thread.
+const SWEEP_MIN: usize = CHUNK / 4;
+
 /// Algorithm Match4 with `i ≥ 1` applications of `f` for the step-1
-/// partition, in the buffers of `ws`: relabel rounds, the grid built
-/// into loaned flat storage, walkdown colors and the greedy sweep.
+/// partition, in the buffers of `ws`: relabel rounds, the round
+/// schedule of both walks, their colors and the greedy sweep.
 /// [`Runner`](crate::Runner) with
 /// [`Algorithm::Match4`](crate::Algorithm::Match4) is the public door;
 /// it rejects `i == 0` before calling this.
 ///
+/// Steps 2–4 run as one round schedule rather than the lockstep of
+/// [`crate::walkdown`]. A counting sort of each column's byte keys
+/// (the label; `x − 1` at the tail) gives every node its row; pointer
+/// `<v, w>` gets round `row(v)` when inter-row (WalkDown1 handles row
+/// `r` in round `r`, Lemma 6) and `x + key(v) + row(v)` when
+/// intra-row (WalkDown2 marks row `r` at step `A[r] + r`, Lemma 7).
+/// The pointers are bucketed by round and the rounds swept in order,
+/// each in parallel. Within one round no two pointers share a node or
+/// a neighbouring pointer (Lemma 6; Corollary 2 plus adjacent pointers
+/// lying in different sets), so every color — and the matching — is
+/// bit-identical to the lockstep's.
+///
 /// An enabled observer receives a `match4` span: the step-1 `relabel`
 /// subtree, a `partition` span with the distinct-set census audited
 /// against the cascade bound, a `grid` span (rows `x`, columns `y`,
-/// per-column sort work), the `walkdown1`/`walkdown2` spans with their
-/// lockstep rounds audited against Lemmas 6–7 (`x` and `2x − 1`), the
-/// `sweep` subtree, the combined walk rounds audited against `3x − 1`,
-/// and total work units audited against Theorem 1's `c·n` form.
+/// the model's per-column sort work), the `walkdown1`/`walkdown2`
+/// spans with their rounds audited against Lemmas 6–7 (`x` and
+/// `2x − 1`), the `sweep` subtree, the combined walk rounds audited
+/// against `3x − 1`, and total work units audited against Theorem 1's
+/// `c·n` form. The counters are the paper's lockstep cost model, not
+/// the schedule's own passes.
 pub(crate) fn run<O: Observer>(
     list: &LinkedList,
     i: u32,
@@ -89,12 +115,9 @@ pub(crate) fn run<O: Observer>(
         pred,
         labels_a,
         labels_b,
-        sets,
-        grid_pairs,
-        row_scatter,
-        grid_store,
+        row_of,
+        round_of,
         colors,
-        walk_state,
         done,
         greedy_mask,
         bucket_nodes,
@@ -103,7 +126,8 @@ pub(crate) fn run<O: Observer>(
         ..
     } = ws;
 
-    // Step 1: the matching partition, as raw per-tail set numbers.
+    // Step 1: the matching partition; pointer <v, suc v>'s set is the
+    // byte label of its tail.
     let next_cyc: &[NodeId] = next_cyc;
     obs.enter("match4");
     obs.counter("n", n as u64);
@@ -118,25 +142,22 @@ pub(crate) fn run<O: Observer>(
         variant,
         obs,
     );
-    sets.resize(n, 0);
-    project_sets(list, labels_a, sets);
+    let labels: &[u8] = labels_a;
+    let has_pointer = |v: usize| list.next_raw(v as NodeId) != NIL;
 
     // Distinct sets of the step-1 partition (diagnostic), via per-chunk
-    // bitmasks in the histogram scratch — bound ≤ 2·64 + 1 < 256 bits.
-    let nchunks = n.div_ceil(CHUNK).max(1);
+    // bitmasks in the histogram scratch — labels are bytes, 256 bits.
+    let nchunks = n.div_ceil(CHUNK);
     hist.clear();
     hist.resize(nchunks * 4, 0);
-    {
-        let s: &[Word] = sets;
-        hist.par_chunks_mut(4).enumerate().for_each(|(ci, row)| {
-            for &k in &s[ci * CHUNK..((ci + 1) * CHUNK).min(n)] {
-                if k != NO_POINTER {
-                    debug_assert!(k < 256);
-                    row[(k >> 6) as usize] |= 1 << (k & 63);
-                }
+    hist.par_chunks_mut(4).enumerate().for_each(|(ci, row)| {
+        let lo = ci * CHUNK;
+        for (v, &k) in (lo..).zip(&labels[lo..(lo + CHUNK).min(n)]) {
+            if has_pointer(v) {
+                row[usize::from(k >> 6)] |= 1 << (k & 63);
             }
-        });
-    }
+        }
+    });
     let mut seen = [0usize; 4];
     for row in hist.chunks(4) {
         for (q, &word) in row.iter().enumerate() {
@@ -150,28 +171,52 @@ pub(crate) fn run<O: Observer>(
         obs.exit();
     }
 
-    // Steps 2–4: the grid and both walkdowns. The guard hands the grid's
-    // flat storage back to the workspace even if a later phase panics
-    // (observer-driven cancellation, injected faults), so a poisoned run
-    // never leaks the arena's largest buffers.
+    // Step 2: the x × y view. Column c owns slots [c·x, (c+1)·x); a
+    // stable counting sort of its keys gives each node its row (ties by
+    // ascending node id, the order of the reference grid's sort).
     let x = bound as usize;
-    let guard = GridGuard {
-        grid: Some(Grid::new_in(
-            list,
-            sets,
-            bound,
-            x,
-            grid_pairs,
-            row_scatter,
-            std::mem::take(grid_store),
-        )),
-        slot: grid_store,
+    assert!(
+        (1..=256).contains(&x),
+        "byte labels bound the rows by 256, got {x}"
+    ); // so a row fits a byte and a round a u16
+    let cols = n.div_ceil(x);
+    let key = |v: usize| {
+        if has_pointer(v) {
+            usize::from(labels[v])
+        } else {
+            x - 1
+        }
     };
-    let grid = guard.grid.as_ref().expect("grid held until guard drops");
+    row_of.resize(n, 0);
+    let col_block = x * (CHUNK / x).max(1);
+    row_of
+        .par_chunks_mut(col_block)
+        .enumerate()
+        .for_each(|(bi, block)| {
+            let mut cursor = [0u16; 256];
+            for (cj, col) in block.chunks_mut(x).enumerate() {
+                let base = bi * col_block + cj * x;
+                cursor[..x].fill(0);
+                for v in base..base + col.len() {
+                    cursor[key(v)] += 1;
+                }
+                let mut acc = 0u16;
+                for slot in &mut cursor[..x] {
+                    let c = *slot;
+                    *slot = acc;
+                    acc += c;
+                }
+                for (k, row) in col.iter_mut().enumerate() {
+                    let c = &mut cursor[key(base + k)];
+                    *row = *c as u8;
+                    *c += 1;
+                }
+            }
+        });
     if O::ENABLED {
         obs.enter("grid");
         obs.counter("rows", x as u64);
-        obs.counter("cols", grid.cols() as u64);
+        obs.counter("cols", cols as u64);
         // per-column comparison sort of x keys, y columns in parallel
         obs.counter(
             "sort_work",
@@ -179,10 +224,73 @@ pub(crate) fn run<O: Observer>(
         );
         obs.exit();
     }
+
+    // Steps 3–4 as one schedule: each pointer's lockstep round, then
+    // the pointers bucketed by round (3x − 1 ≤ 386 rounds, since
+    // Lemma 1 bounds x by 2·64 + 1).
+    let rows: &[u8] = row_of;
+    round_of.resize(n, 0);
+    par_fill(round_of, |v| {
+        let head = list.next_raw(v as NodeId);
+        if head == NIL {
+            return NO_ROUND;
+        }
+        let r = rows[v];
+        if rows[head as usize] != r {
+            u16::from(r)
+        } else {
+            (x + usize::from(labels[v]) + usize::from(r)) as u16
+        }
+    });
+    let walk_rounds = 3 * x - 1;
+    bucket_by_key(
+        round_of,
+        walk_rounds,
+        &|&r: &u16| (r != NO_ROUND).then_some(usize::from(r)),
+        bucket_nodes,
+        hist,
+        set_starts,
+    );
     let pred: &[AtomicU32] = pred;
     let colors: &[AtomicU8] = colors;
-    let r1 = walkdown1(list, grid, pred, colors, obs);
-    let r2 = walkdown2(list, grid, pred, colors, walk_state, obs);
+    let nodes: &[AtomicU32] = bucket_nodes;
+    let sweep = |round: usize| {
+        nodes[set_starts[round]..set_starts[round + 1]]
+            .par_iter()
+            .with_min_len(SWEEP_MIN)
+            .for_each(|slot| {
+                let v = slot.load(Ordering::Relaxed);
+                let color = pick_color(list, pred, colors, v, list.next_raw(v));
+                colors[v as usize].store(color, Ordering::Relaxed);
+            });
+    };
+    // WalkDown1 (Lemma 6): rounds 0..x, the inter-row pointers.
+    for round in 0..x {
+        sweep(round);
+    }
+    if O::ENABLED {
+        obs.enter("walkdown1");
+        obs.bounded("rounds", x as u64, x as u64);
+        obs.counter("lockstep_work", (x * cols) as u64);
+        if O::AUDITS {
+            obs.counter("colored", count_colored(colors));
+        }
+        obs.exit();
+    }
+    // WalkDown2 (Lemma 7): rounds x..3x−1, the intra-row pointers.
+    for round in x..walk_rounds {
+        sweep(round);
+    }
+    if O::ENABLED {
+        let steps = (2 * x - 1) as u64;
+        obs.enter("walkdown2");
+        obs.bounded("steps", steps, steps);
+        obs.counter("lockstep_work", steps * cols as u64);
+        if O::AUDITS {
+            obs.counter("colored", count_colored(colors));
+        }
+        obs.exit();
+    }
     // Lemmas 6–7: together the walks 3-color every pointer properly.
     debug_assert!(crate::verify::coloring_is_proper_by(
         list,
@@ -191,22 +299,13 @@ pub(crate) fn run<O: Observer>(
     ));
 
     // Step 5: the 3 color classes are matching sets; sweep them greedily.
-    sets.par_chunks_mut(CHUNK)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let base = ci * CHUNK;
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let c = colors[base + k].load(Ordering::Relaxed);
-                *slot = if c == UNCOLORED {
-                    NO_POINTER
-                } else {
-                    Word::from(c)
-                };
-            }
-        });
     let matching = greedy_core(
         list,
-        sets,
+        colors,
+        &|c: &AtomicU8| match c.load(Ordering::Relaxed) {
+            UNCOLORED => None,
+            c => Some(usize::from(c)),
+        },
         3,
         done,
         greedy_mask,
@@ -215,44 +314,34 @@ pub(crate) fn run<O: Observer>(
         set_starts,
         obs,
     );
-    let cols = grid.cols();
     if O::ENABLED {
-        obs.bounded("walk_rounds", (r1 + r2) as u64, 3 * x as u64 - 1);
+        obs.bounded("walk_rounds", walk_rounds as u64, 3 * x as u64 - 1);
         // relabel i·n; set projection, census and color-class projection
         // n each; grid build 5n + the per-column sorts; walk lockstep
-        // work (r1 + r2)·y; greedy histogram + final mask n each, plus
+        // work (3x − 1)·y; greedy histogram + final mask n each, plus
         // placement and sweep over the bucketed pointers.
         let lx = u64::from(ilog2_ceil(x as Word).max(1));
         let bucketed = *set_starts.last().unwrap_or(&0) as u64;
-        let wu = n as u64 * (u64::from(i) + 10 + lx) + ((r1 + r2) * cols) as u64 + 2 * bucketed;
+        let wu = n as u64 * (u64::from(i) + 10 + lx) + (walk_rounds * cols) as u64 + 2 * bucketed;
         obs.bounded("work_units", wu, (u64::from(i) + 16 + lx) * n as u64 + 256);
         obs.counter("work_per_node_x100", wu * 100 / n as u64);
     }
     obs.exit();
-    drop(guard); // returns the grid storage to the workspace
     Match4Output {
         matching,
         rows: x,
         cols,
         distinct_sets,
-        walk_rounds: r1 + r2,
+        walk_rounds,
     }
 }
 
-/// Owns the [`Grid`] during steps 2–4 and returns its flat storage to
-/// the workspace slot on drop — including the unwind path, so an arena
-/// checked out by a job that panics mid-walkdown stays fully reusable.
-struct GridGuard<'a> {
-    grid: Option<Grid>,
-    slot: &'a mut crate::walkdown::GridStorage,
-}
-
-impl Drop for GridGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(grid) = self.grid.take() {
-            *self.slot = grid.into_storage();
-        }
-    }
+/// Pointers colored so far (the walks' audit counter).
+fn count_colored(colors: &[AtomicU8]) -> u64 {
+    colors
+        .iter()
+        .filter(|a| a.load(Ordering::Relaxed) != UNCOLORED)
+        .count() as u64
 }
 
 /// Steps 2–5 of Match4 on an externally supplied partition (this is how
@@ -295,8 +384,10 @@ pub fn match4_from_partition(list: &LinkedList, ps: &PointerSets) -> Match4Outpu
 mod tests {
     use super::*;
     use crate::obs::NoopObserver;
+    use crate::partition::pointer_sets;
     use crate::verify;
-    use parmatch_list::{blocked_list, random_list, reversed_list, sequential_list};
+    use crate::walkdown::walkdown2_schedule;
+    use parmatch_list::{blocked_list, random_list, reversed_list, sequential_list, strided_list};
 
     fn match4_with(list: &LinkedList, i: u32, variant: CoinVariant) -> Match4Output {
         run(list, i, variant, &mut Workspace::new(), &mut NoopObserver)
@@ -366,6 +457,54 @@ mod tests {
     fn deterministic() {
         let list = random_list(10_000, 17);
         assert_eq!(match4(&list, 2).matching, match4(&list, 2).matching);
+    }
+
+    #[test]
+    fn schedule_rounds_match_the_lockstep() {
+        // Every pointer's schedule round is the lockstep round in which
+        // the reference grid processes it: row r of WalkDown1 is round
+        // r, and WalkDown2 step k (replayed per column by
+        // `walkdown2_schedule`) is round x + k.
+        let lists = [
+            random_list(5000, 4),
+            random_list(97, 5),
+            sequential_list(3000),
+            reversed_list(2048),
+            blocked_list(4097, 32, 6),
+            strided_list(3001, 7),
+            random_list(2, 8),
+        ];
+        for list in &lists {
+            for i in 1..=5 {
+                for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
+                    let mut ws = Workspace::new();
+                    let out = run(list, i, variant, &mut ws, &mut NoopObserver);
+                    let ps = pointer_sets(list, i, variant);
+                    let x = ps.bound() as usize;
+                    assert_eq!(out.rows, x);
+                    let grid = Grid::new(list, &ps, x);
+                    let mut want = vec![NO_ROUND; list.len()];
+                    for c in 0..grid.cols() {
+                        // The lockstep runs 2x − 1 steps on every column,
+                        // the ragged last one too: pad it with the
+                        // largest key, which leaves its own rows' steps
+                        // as they are.
+                        let mut keys = grid.column_keys(c).to_vec();
+                        keys.resize(x, x as u64 - 1);
+                        let steps = walkdown2_schedule(&keys);
+                        for (r, &v) in grid.column_elems(c).iter().enumerate() {
+                            let Some(w) = list.next(v) else { continue };
+                            want[v as usize] = if grid.is_intra_row(v, w) {
+                                (x as u64 + steps[r]) as u16
+                            } else {
+                                r as u16
+                            };
+                        }
+                    }
+                    assert_eq!(ws.round_of, want, "n={} i={i} {variant:?}", list.len());
+                }
+            }
+        }
     }
 
     #[test]

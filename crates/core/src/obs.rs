@@ -40,6 +40,16 @@ pub trait Observer {
     /// compiles every site away.
     const ENABLED: bool;
 
+    /// Whether the matchers should also compute the audit-only
+    /// quantities: the per-round distinct-label census, the finisher's
+    /// sequential sublist replay, the colored-pointer counts of the
+    /// walks. They cost passes over the whole list that nothing but the
+    /// recorded counters reads. An observer that needs spans only (the
+    /// service's cancellation probe around an unobserved job) sets this
+    /// `false` and keeps the spans; the default follows
+    /// [`Self::ENABLED`].
+    const AUDITS: bool = Self::ENABLED;
+
     /// Open a child span named `label` under the current span.
     fn enter(&mut self, label: &str);
 

@@ -1,5 +1,6 @@
 //! WalkDown1 (Lemma 6) and WalkDown2 (Lemma 7): the processor-scheduling
-//! technique of Section 3 — the paper's main contribution.
+//! technique of Section 3 — the paper's main contribution — in its
+//! literal lockstep form, kept as the reference oracle.
 //!
 //! The list's array is viewed as a grid of `x` rows and `y = ⌈n/x⌉`
 //! columns, one (virtual) processor per column. Each processor sorts its
@@ -28,10 +29,19 @@
 //! never processed in the same step, the combined result is a proper
 //! 3-coloring of *all* pointers — the "minor adjustment … in combining
 //! the partitions" the paper alludes to is simply sharing one palette.
+//!
+//! Here the walks run as written: `3x − 1` lockstep passes, each
+//! touching every column to do one element's work. [`color_pointers`]
+//! is the reference behind
+//! [`match4_from_partition`](crate::match4::match4_from_partition) and
+//! the Lemma 7 experiments. The production Match4 (through
+//! [`Runner`](crate::Runner)) uses the closed forms instead — round
+//! `row(v)` for an inter-row pointer, `x + A[r] + r` for an intra-row
+//! one — and sweeps the pointers bucketed by round; the differential
+//! suites hold it bit-identical to this oracle.
 
-use crate::obs::{NoopObserver, Observer};
 use crate::partition::{PointerSets, NO_POINTER};
-use crate::workspace::{fill_pred, CHUNK};
+use crate::workspace::fill_pred;
 use parmatch_bits::Word;
 use parmatch_list::{LinkedList, NodeId, NIL};
 use rayon::prelude::*;
@@ -40,26 +50,10 @@ use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 /// Color value meaning "not yet colored".
 pub const UNCOLORED: u8 = u8::MAX;
 
-/// The flat per-node arrays a [`Grid`] is built into. A
-/// [`crate::Workspace`] loans this storage to `Grid::new_in` and takes
-/// it back via `Grid::into_storage`, so repeated grid builds reuse the
-/// same allocations.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GridStorage {
-    /// All columns' sorted nodes, column-major: column `c` occupies
-    /// slots `[c·x, min((c+1)·x, n))`.
-    pub(crate) elems: Vec<NodeId>,
-    /// Sort key of `elems[i]` (the concatenated `A` arrays).
-    pub(crate) keys: Vec<Word>,
-    /// `row_of[v]` = the row node `v` landed in after its column's sort.
-    pub(crate) row_of: Vec<u32>,
-}
-
 /// The two-dimensional view of the list plus the per-column sort.
 ///
-/// Stored as flat column-major arrays (see `GridStorage`) rather than
-/// nested `Vec<Vec<_>>`: one allocation per array, and the per-column
-/// sorts become `par_chunks_mut(x)` over the flat pair array.
+/// Stored as flat column-major arrays: column `c` occupies slots
+/// `[c·x, min((c+1)·x, n))` of `elems` and `keys`.
 #[derive(Debug, Clone)]
 pub struct Grid {
     /// Rows per column (`x`); also the exclusive bound on sort keys.
@@ -68,11 +62,11 @@ pub struct Grid {
     cols: usize,
     /// Number of nodes (`elems.len()`; the last column may be ragged).
     n: usize,
-    /// See [`GridStorage::elems`].
+    /// All columns' sorted nodes, column-major.
     elems: Vec<NodeId>,
-    /// See [`GridStorage::keys`].
+    /// Sort key of `elems[i]` (the concatenated `A` arrays).
     keys: Vec<Word>,
-    /// See [`GridStorage::row_of`].
+    /// `row_of[v]` = the row node `v` landed in after its column's sort.
     row_of: Vec<u32>,
 }
 
@@ -81,125 +75,45 @@ impl Grid {
     /// (the last column may be ragged) and sorts them by the
     /// pointer set number; elements without a pointer (the list tail)
     /// use key `x − 1` so they sort last-ish and the pipeline can pass
-    /// them.
+    /// them. Ties are broken by ascending node id, the stable
+    /// counting-sort order.
     ///
     /// # Panics
     ///
     /// Panics if `x < ps.bound()` (set keys must fit below the row
     /// count for Lemma 7's schedule to terminate) or `x == 0`.
     pub fn new(list: &LinkedList, ps: &PointerSets, x: usize) -> Self {
-        let mut pairs = Vec::new();
-        let mut row_scatter = Vec::new();
-        Self::new_in(
-            list,
-            ps.as_slice(),
-            ps.bound(),
-            x,
-            &mut pairs,
-            &mut row_scatter,
-            GridStorage::default(),
-        )
-    }
-
-    /// [`Grid::new`] over raw set values, building into caller-provided
-    /// scratch and storage (how Match4 reuses its workspace buffers).
-    /// The column sort is `sort_unstable` on `(key, node)`
-    /// pairs — ties broken by ascending node id, which reproduces the
-    /// stable counting-sort order exactly.
-    pub(crate) fn new_in(
-        list: &LinkedList,
-        sets: &[Word],
-        bound: Word,
-        x: usize,
-        pairs: &mut Vec<(Word, NodeId)>,
-        row_scatter: &mut Vec<AtomicU32>,
-        mut storage: GridStorage,
-    ) -> Self {
         let n = list.len();
+        let bound = ps.bound();
         assert!(x > 0, "row count must be positive");
         assert!(
             (x as Word) >= bound,
             "row count {x} smaller than set bound {bound}"
         );
-        assert_eq!(sets.len(), n, "set array length mismatch");
-        let cols = n.div_ceil(x);
-
-        pairs.resize(n, (0, 0));
-        pairs
-            .par_chunks_mut(CHUNK)
+        assert_eq!(ps.as_slice().len(), n, "set array length mismatch");
+        let mut pairs: Vec<(Word, NodeId)> = ps
+            .as_slice()
+            .iter()
             .enumerate()
-            .for_each(|(ci, chunk)| {
-                let base = ci * CHUNK;
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    let key = match sets[base + i] {
-                        NO_POINTER => (x - 1) as Word,
-                        s => s,
-                    };
-                    *slot = (key, (base + i) as NodeId);
-                }
-            });
+            .map(|(v, &s)| match s {
+                NO_POINTER => ((x - 1) as Word, v as NodeId),
+                s => (s, v as NodeId),
+            })
+            .collect();
         // One chunk of size x = one column: sort them all in parallel.
         pairs.par_chunks_mut(x).for_each(|col| col.sort_unstable());
-
-        storage.elems.resize(n, 0);
-        storage.keys.resize(n, 0);
-        let pairs_ref: &[(Word, NodeId)] = pairs;
-        storage
-            .elems
-            .par_chunks_mut(CHUNK)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let base = ci * CHUNK;
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = pairs_ref[base + i].1;
-                }
-            });
-        storage
-            .keys
-            .par_chunks_mut(CHUNK)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let base = ci * CHUNK;
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = pairs_ref[base + i].0;
-                }
-            });
-
-        // row_of scatter: slot index i holds row i % x of its column
-        // (columns start at multiples of x), every node written once.
-        row_scatter.resize_with(n, || AtomicU32::new(0));
-        let rs: &[AtomicU32] = row_scatter;
-        (0..n).into_par_iter().with_min_len(CHUNK).for_each(|i| {
-            rs[pairs_ref[i].1 as usize].store((i % x) as u32, Ordering::Relaxed);
-        });
-        storage.row_of.resize(n, 0);
-        storage
-            .row_of
-            .par_chunks_mut(CHUNK)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let base = ci * CHUNK;
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = rs[base + i].load(Ordering::Relaxed);
-                }
-            });
-
+        let (keys, elems): (Vec<Word>, Vec<NodeId>) = pairs.into_iter().unzip();
+        let mut row_of = vec![0u32; n];
+        for (i, &v) in elems.iter().enumerate() {
+            row_of[v as usize] = (i % x) as u32;
+        }
         Self {
             x,
-            cols,
+            cols: n.div_ceil(x),
             n,
-            elems: storage.elems,
-            keys: storage.keys,
-            row_of: storage.row_of,
-        }
-    }
-
-    /// Dismantle the grid, returning its storage for reuse.
-    pub(crate) fn into_storage(self) -> GridStorage {
-        GridStorage {
-            elems: self.elems,
-            keys: self.keys,
-            row_of: self.row_of,
+            elems,
+            keys,
+            row_of,
         }
     }
 
@@ -242,7 +156,7 @@ impl Grid {
 /// Greedily pick the smallest color in `{0,1,2}` different from the
 /// current colors of the two neighbor pointers of `<v, head>`.
 #[inline]
-fn pick_color(
+pub(crate) fn pick_color(
     list: &LinkedList,
     pred: &[AtomicU32],
     colors: &[AtomicU8],
@@ -266,17 +180,8 @@ fn pick_color(
 /// lockstep rounds. Returns the number of rounds executed (= rows).
 ///
 /// `colors` must be sized `n` and is updated in place; entries of
-/// pointers this pass does not own are only read. An enabled
-/// [`Observer`] then records a `walkdown1` span with the round count
-/// audited against Lemma 6's `x` lockstep rounds, the processor-rounds
-/// of lockstep work, and the running colored-pointer total.
-pub(crate) fn walkdown1<O: Observer>(
-    list: &LinkedList,
-    grid: &Grid,
-    pred: &[AtomicU32],
-    colors: &[AtomicU8],
-    obs: &mut O,
-) -> usize {
+/// pointers this pass does not own are only read.
+fn walkdown1(list: &LinkedList, grid: &Grid, pred: &[AtomicU32], colors: &[AtomicU8]) -> usize {
     for r in 0..grid.rows() {
         (0..grid.cols()).into_par_iter().for_each(|c| {
             let col = grid.column_elems(c);
@@ -289,37 +194,17 @@ pub(crate) fn walkdown1<O: Observer>(
             colors[v as usize].store(color, Ordering::Relaxed);
         });
     }
-    let rounds = grid.rows();
-    if O::ENABLED {
-        obs.enter("walkdown1");
-        obs.bounded("rounds", rounds as u64, grid.rows() as u64);
-        obs.counter("lockstep_work", rounds as u64 * grid.cols() as u64);
-        obs.counter("colored", count_colored(colors));
-        obs.exit();
-    }
-    rounds
+    grid.rows()
 }
 
 /// WalkDown2 (Lemma 7): 3-color every **intra-row** pointer with the
-/// count/index pipeline in `2x − 1` lockstep steps, keeping the
-/// per-column `(index, count)` pipeline state in `state`. Returns the
-/// number of steps executed.
-///
-/// An enabled [`Observer`] then records a `walkdown2` span with the
-/// step count audited against Corollary 1's `2x − 1` pipeline steps,
-/// the lockstep work, and the colored total (now every real pointer).
-pub(crate) fn walkdown2<O: Observer>(
-    list: &LinkedList,
-    grid: &Grid,
-    pred: &[AtomicU32],
-    colors: &[AtomicU8],
-    state: &mut Vec<(usize, Word)>,
-    obs: &mut O,
-) -> usize {
+/// count/index pipeline in `2x − 1` lockstep steps, one `(index,
+/// count)` pipeline state per column. Returns the number of steps
+/// executed.
+fn walkdown2(list: &LinkedList, grid: &Grid, pred: &[AtomicU32], colors: &[AtomicU8]) -> usize {
     let x = grid.rows();
     let steps = 2 * x - 1;
-    state.clear();
-    state.resize(grid.cols(), (0, 0));
+    let mut state: Vec<(usize, Word)> = vec![(0, 0); grid.cols()];
     for _k in 0..steps {
         state
             .par_iter_mut()
@@ -348,22 +233,7 @@ pub(crate) fn walkdown2<O: Observer>(
         .iter()
         .enumerate()
         .all(|(c, (index, _))| *index >= grid.column_elems(c).len()));
-    if O::ENABLED {
-        obs.enter("walkdown2");
-        obs.bounded("steps", steps as u64, (2 * x - 1) as u64);
-        obs.counter("lockstep_work", steps as u64 * grid.cols() as u64);
-        obs.counter("colored", count_colored(colors));
-        obs.exit();
-    }
     steps
-}
-
-/// Pointers colored so far (diagnostic for the observed walks).
-fn count_colored(colors: &[AtomicU8]) -> u64 {
-    colors
-        .iter()
-        .filter(|a| a.load(Ordering::Relaxed) != UNCOLORED)
-        .count() as u64
 }
 
 /// Run both walks and return a proper 3-coloring of all pointers as a
@@ -373,15 +243,8 @@ pub fn color_pointers(list: &LinkedList, grid: &Grid) -> (Vec<u8>, usize) {
     let mut pred = Vec::new();
     fill_pred(list, &mut pred);
     let colors: Vec<AtomicU8> = (0..list.len()).map(|_| AtomicU8::new(UNCOLORED)).collect();
-    let r1 = walkdown1(list, grid, &pred, &colors, &mut NoopObserver);
-    let r2 = walkdown2(
-        list,
-        grid,
-        &pred,
-        &colors,
-        &mut Vec::new(),
-        &mut NoopObserver,
-    );
+    let r1 = walkdown1(list, grid, &pred, &colors);
+    let r2 = walkdown2(list, grid, &pred, &colors);
     let colors: Vec<u8> = colors.into_iter().map(AtomicU8::into_inner).collect();
     (colors, r1 + r2)
 }

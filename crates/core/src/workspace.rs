@@ -3,8 +3,8 @@
 //! Pass one to [`Runner::workspace`](crate::Runner::workspace) (or to
 //! [`match1_batch_in`](crate::match1_batch_in)). After the first call on
 //! a given list size, every per-node array (labels,
-//! successor/predecessor caches, cut masks, walkdown colors, greedy
-//! buckets, grid storage) lives here and is resized (a no-op when the
+//! successor/predecessor caches, cut masks, Match4's rows, walk rounds
+//! and colors, greedy buckets) lives here and is resized (a no-op when the
 //! size is unchanged) and refilled in parallel, so a rerun allocates no
 //! per-node scratch.
 //!
@@ -30,13 +30,12 @@
 //! unique writer within a pass (or the write is idempotent), so the
 //! results are deterministic and bit-identical to a sequential run.
 
-use parmatch_bits::Word;
 use parmatch_list::{LinkedList, NodeId, NIL};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
 
 use crate::table::TupleTable;
-use crate::walkdown::{GridStorage, UNCOLORED};
+use crate::walkdown::UNCOLORED;
 use crate::CoinVariant;
 
 /// Elements per parallel chunk for plain per-node passes: large enough
@@ -98,16 +97,11 @@ pub struct Workspace {
     pub(crate) set_starts: Vec<usize>,
     /// Walkdown color array.
     pub(crate) colors: Vec<AtomicU8>,
-    /// WalkDown2 per-column `(index, count)` pipeline state.
-    pub(crate) walk_state: Vec<(usize, Word)>,
-    /// Raw per-tail set array (Match4 partition, then its color classes).
-    pub(crate) sets: Vec<Word>,
-    /// Grid build scratch: `(sort key, node)` pairs in column order.
-    pub(crate) grid_pairs: Vec<(Word, NodeId)>,
-    /// Grid build scratch: row-of scatter target.
-    pub(crate) row_scatter: Vec<AtomicU32>,
-    /// Storage loaned to [`crate::walkdown::Grid`] and taken back.
-    pub(crate) grid_store: GridStorage,
+    /// Match4: each node's row after its column's counting sort.
+    pub(crate) row_of: Vec<u8>,
+    /// Match4: each pointer's walk round (the bucket key of the
+    /// WalkDown schedule).
+    pub(crate) round_of: Vec<u16>,
     /// Cached Match3 lookup table, keyed by its build parameters.
     pub(crate) table_cache: Option<((u32, u32, CoinVariant, u32), TupleTable)>,
 }
@@ -220,7 +214,7 @@ impl Workspace {
     }
 
     /// Clear every per-node buffer while keeping its allocation (and the
-    /// grid storage and Match3 table cache intact). The service layer
+    /// Match3 table cache intact). The service layer
     /// calls this when returning an arena to the pool after a job
     /// panicked mid-phase: the next checkout sees empty buffers, and
     /// every `prepare_*` pass resizes-and-refills anyway, so a scrubbed
@@ -244,10 +238,8 @@ impl Workspace {
         self.hist.clear();
         self.set_starts.clear();
         self.colors.clear();
-        self.walk_state.clear();
-        self.sets.clear();
-        self.grid_pairs.clear();
-        self.row_scatter.clear();
+        self.row_of.clear();
+        self.round_of.clear();
     }
 
     /// Reset the walkdown colors to [`UNCOLORED`].

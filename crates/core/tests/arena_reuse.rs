@@ -2,9 +2,10 @@
 //!
 //! A pooled service arena is checked out by many jobs in sequence; a job
 //! that panics mid-phase (observer-driven cancellation, fault-tripped
-//! assertion) must leave the arena fully reusable — in particular the
-//! Match4 grid storage, which is loaned to the `Grid` during steps 2–4
-//! and must come back through the unwind path, not just the happy path.
+//! assertion) must leave the arena fully reusable — in particular
+//! Match4's row, round and color buffers, which a panic mid-walk leaves
+//! half rewritten, and which the next run must refill rather than
+//! trust.
 
 use parmatch_core::prelude::*;
 use parmatch_list::random_list;
@@ -103,11 +104,10 @@ fn scrubbed_arena_behaves_like_fresh() {
 
 #[test]
 fn grid_storage_is_returned_not_reallocated() {
-    // After a mid-walkdown panic the grid's flat storage must be back in
-    // the workspace: a follow-up run of the same size re-runs without
-    // growing the arena. Detect a leak by running many poisoned rounds —
-    // a leaked grid would force a fresh allocation every time, while the
-    // returned storage keeps results identical and the arena warm.
+    // After a mid-walkdown panic Match4's buffers stay in the workspace,
+    // half rewritten: a follow-up run of the same size must refill them
+    // and reproduce the baseline exactly, however many poisoned rounds
+    // came before.
     let list = random_list(2048, 3);
     let mut ws = Workspace::new();
     let baseline = Runner::new(Algorithm::Match4).workspace(&mut ws).run(&list);

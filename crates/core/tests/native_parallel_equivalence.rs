@@ -13,7 +13,9 @@ mod oracle;
 use parmatch_core::finish::from_labels;
 use parmatch_core::prelude::*;
 use parmatch_core::{LabelSeq, Match4Output};
-use parmatch_list::{blocked_list, random_list, reversed_list, sequential_list, LinkedList};
+use parmatch_list::{
+    blocked_list, random_list, reversed_list, sequential_list, strided_list, LinkedList,
+};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -120,17 +122,24 @@ fn match3_bit_identical_across_threads() {
     }
 }
 
-/// Match4 likewise, over i ∈ {1, 2, 3}; diagnostics must agree too.
+/// Match4 likewise — the production round schedule against the
+/// lockstep WalkDown oracle — over i ∈ 1..=5, both coin variants, and
+/// the sequential, reversed, blocked and strided layouts besides the
+/// random ones; diagnostics must agree too.
 #[test]
 fn match4_bit_identical_across_threads() {
-    let lists = layouts();
-    let levels = [1u32, 2, 3];
+    let mut lists = layouts();
+    lists.push(strided_list(3001, 7));
+    lists.push(strided_list(1024, 3));
+    let cases: Vec<(u32, CoinVariant)> = (1..=5)
+        .flat_map(|i| [(i, CoinVariant::Msb), (i, CoinVariant::Lsb)])
+        .collect();
     let expected: Vec<Vec<Match4Output>> = lists
         .iter()
         .map(|l| {
-            levels
+            cases
                 .iter()
-                .map(|&i| oracle::match4(l, i, CoinVariant::Msb))
+                .map(|&(i, v)| oracle::match4(l, i, v))
                 .collect()
         })
         .collect();
@@ -138,13 +147,18 @@ fn match4_bit_identical_across_threads() {
         on_pool(threads, || {
             let mut ws = Workspace::new();
             for (list, want) in lists.iter().zip(&expected) {
-                for (&i, want) in levels.iter().zip(want) {
-                    let runner = || Runner::new(Algorithm::Match4).levels(i);
+                for (&(i, v), want) in cases.iter().zip(want) {
+                    let runner = || Runner::new(Algorithm::Match4).levels(i).variant(v);
                     let fresh = runner().run(list);
                     let reused = runner().workspace(&mut ws).run(list);
                     let got = reused.as_match4().unwrap();
                     assert_eq!(fresh.matching(), &got.matching, "ws reuse differs");
-                    assert_eq!(got.matching, want.matching, "threads={threads} i={i}");
+                    assert_eq!(
+                        got.matching,
+                        want.matching,
+                        "threads={threads} i={i} {v:?} n={}",
+                        list.len()
+                    );
                     assert_eq!(got.rows, want.rows);
                     assert_eq!(got.cols, want.cols);
                     assert_eq!(got.distinct_sets, want.distinct_sets);

@@ -12,7 +12,7 @@
 //! ```
 
 use crate::check::validate;
-use crate::list::{LinkedList, NIL};
+use crate::list::{LinkedList, NodeId, NIL};
 
 /// Errors from [`from_text`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,6 +21,13 @@ pub enum ParseError {
     BadMagic,
     /// The `n=… head=…` line is missing or malformed.
     BadHeader(String),
+    /// The header's `n` is more nodes than [`NodeId`] can address.
+    TooManyNodes {
+        /// The header's node count.
+        n: usize,
+        /// The largest addressable count.
+        max: usize,
+    },
     /// A `NEXT` entry failed to parse.
     BadEntry {
         /// 0-based node index of the offending line.
@@ -44,6 +51,9 @@ impl std::fmt::Display for ParseError {
         match self {
             ParseError::BadMagic => write!(f, "missing 'parmatch-list v1' header"),
             ParseError::BadHeader(l) => write!(f, "malformed header line: {l:?}"),
+            ParseError::TooManyNodes { n, max } => {
+                write!(f, "n={n} exceeds the {max} nodes a list can hold")
+            }
             ParseError::BadEntry { index, line } => {
                 write!(f, "bad NEXT entry for node {index}: {line:?}")
             }
@@ -98,10 +108,17 @@ pub fn from_text(text: &str) -> Result<LinkedList, ParseError> {
     if n == 0 {
         return Ok(LinkedList::from_order(&[]));
     }
+    // Ids run 0..n and NIL is reserved, so n ≤ NodeId::MAX.
+    let max = NodeId::MAX as usize;
+    if n > max {
+        return Err(ParseError::TooManyNodes { n, max });
+    }
     let head: u32 = head
         .parse()
         .map_err(|_| ParseError::BadHeader(header.clone()))?;
-    let mut next = Vec::with_capacity(n);
+    // The header is untrusted: reserve no more than the text can hold
+    // (every entry takes at least one character and a line break).
+    let mut next = Vec::with_capacity(n.min(text.len() / 2 + 1));
     for (index, line) in lines.enumerate() {
         let line = line.trim();
         if line.is_empty() {
@@ -135,6 +152,29 @@ pub fn from_text(text: &str) -> Result<LinkedList, ParseError> {
 mod tests {
     use super::*;
     use crate::gen::random_list;
+
+    #[test]
+    fn oversized_header_is_a_typed_error() {
+        for n in [u64::MAX, 5_000_000_000, u64::from(u32::MAX) + 1] {
+            let text = format!("parmatch-list v1\nn={n} head=0\n1\n-\n");
+            assert_eq!(
+                from_text(&text),
+                Err(ParseError::TooManyNodes {
+                    n: n as usize,
+                    max: u32::MAX as usize
+                })
+            );
+        }
+        // In range, but promising far more entries than the file holds.
+        let text = "parmatch-list v1\nn=4000000000 head=0\n1\n-\n";
+        assert_eq!(
+            from_text(text),
+            Err(ParseError::WrongCount {
+                found: 2,
+                expected: 4_000_000_000
+            })
+        );
+    }
 
     #[test]
     fn roundtrip() {

@@ -365,6 +365,9 @@ struct CancelProbe<'a, O: Observer> {
 
 impl<O: Observer> Observer for CancelProbe<'_, O> {
     const ENABLED: bool = true;
+    // The probe needs span boundaries only; the audit-only passes run
+    // when the inner observer records them.
+    const AUDITS: bool = O::AUDITS;
 
     fn enter(&mut self, label: &str) {
         if self.cancel.load(Ordering::Relaxed) {
@@ -1101,7 +1104,8 @@ mod tests {
     }
 
     /// Lists of this length make `execute` panic on entering Match4's
-    /// `grid` span, after the run has taken the arena's grid storage.
+    /// `grid` span, after the run has checked out the arena and
+    /// rewritten its buffers (labels, rows).
     const PANIC_LIST_LEN: usize = 1999;
 
     pub(super) fn injected_panic_span(spec: &JobSpec) -> Option<&'static str> {
@@ -1196,6 +1200,33 @@ mod tests {
         assert_eq!(spans[0].label, "service");
         assert_eq!(spans[0].children[0].label, format!("{id}"));
         assert_eq!(spans[0].children[0].children[0].label, "match1");
+    }
+
+    #[test]
+    fn unobserved_jobs_skip_the_audits() {
+        type Unobserved = CancelProbe<'static, NoopObserver>;
+        type Observed = CancelProbe<'static, Recorder>;
+        // (spans, audits): the probe always opens spans to check the
+        // cancel flag; it audits only when the inner observer does.
+        assert_eq!((Unobserved::ENABLED, Unobserved::AUDITS), (true, false));
+        assert_eq!((Observed::ENABLED, Observed::AUDITS), (true, true));
+    }
+
+    #[test]
+    fn observed_jobs_record_what_a_solo_recorder_records() {
+        // The probe forwards to the job's recorder, audits included: the
+        // job's recording equals a solo run's under a plain Recorder.
+        let svc = small_service();
+        let list = random_list(4096, 12);
+        for algo in Algorithm::ALL {
+            svc.submit(JobSpec::new(algo, list.clone()).observed())
+                .unwrap();
+            let rec = svc.recv().unwrap().recording.expect("observed job records");
+            let mut solo = Recorder::new();
+            Runner::new(algo).observer(&mut solo).run(&list);
+            assert_eq!(rec, solo.finish(), "{algo}");
+        }
+        svc.shutdown();
     }
 
     #[test]
